@@ -8,8 +8,8 @@ the divisor plus a finite table of exceptions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from numbers import Number
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..convex_calculus.functions import (
@@ -61,18 +61,18 @@ def canonical_fn(divisor: ToricCompactifiedDivisor) -> ConcaveFn:
     return ConcaveFn([0], [AffinePiece(divisor.b, 0), AffinePiece(-divisor.a, 0)])
 
 
+def _has_divisor_slopes(psi: ConcaveFn, divisor: ToricCompactifiedDivisor) -> bool:
+    """Asymptotic slopes b toward -infinity and -a toward +infinity, exactly."""
+    return psi.slope_neg == divisor.b and psi.slope_pos == -divisor.a
+
+
 def strongly_nef_local_check(
     psi: ConcaveFn, divisor: ToricCompactifiedDivisor
 ) -> Tuple[bool, bool]:
     """(has the divisor's asymptotic slopes, stays within bounded distance
     of the canonical profile)."""
-    strongly_nef = (
-        float(psi.slope_neg) == float(divisor.b)
-        and float(psi.slope_pos) == float(-divisor.a)
-    )
-    non_singular = strongly_nef and sup_distance(psi, canonical_fn(divisor)) < float(
-        "inf"
-    )
+    strongly_nef = _has_divisor_slopes(psi, divisor)
+    non_singular = strongly_nef and sup_distance(psi, canonical_fn(divisor)) < math.inf
     return strongly_nef, non_singular
 
 
@@ -106,9 +106,7 @@ class AdelicFamily:
         self._canonical = canonical
         self.strict = strict
         self.slope_valid = all(
-            float(psi.slope_neg) == float(divisor.b)
-            and float(psi.slope_pos) == float(-divisor.a)
-            for psi in self.exceptions.values()
+            _has_divisor_slopes(psi, divisor) for psi in self.exceptions.values()
         )
         if strict and not self.slope_valid:
             raise ValueError(
@@ -118,7 +116,7 @@ class AdelicFamily:
             place
             for place, psi in self.exceptions.items()
             if not self.slope_valid
-            or sup_distance(psi, canonical) == float("inf")
+            or sup_distance(psi, canonical) == math.inf
         )
 
     @property

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple, Union
+from typing import Iterator, Mapping, Optional, Tuple, Union
 
 from ..convex_calculus.duality import DualFn, legendre_dual
 from ..convex_calculus.energy import local_energy
@@ -45,21 +45,30 @@ class RoofFunction:
         return self.dual(m)
 
     def value(self, m) -> Real:
-        try:
-            return self.dual.value_exact(m)
-        except (TypeError, ValueError):
-            return self.dual(m)
+        return self.dual.value(m)
 
     def endpoints(self) -> Tuple[Real, Real]:
         return self.value(self.dual.lo), self.value(self.dual.hi)
 
     def minimum(self) -> Real:
         # concave on a closed interval, so the minimum sits at an endpoint
-        left, right = self.endpoints()
-        return left if float(left) <= float(right) else right
+        return min(self.endpoints())
 
     def integral(self) -> Real:
         return self.dual.integral()
+
+    def height(self) -> Real:
+        """Twice the integral: the global height of the family."""
+        return 2 * self.integral()
+
+    def nef_status(self) -> "NefStatus":
+        """Classification by the sign of the minimum, decided exactly."""
+        mu = self.minimum()
+        if mu > 0:
+            return NefStatus(S_AMPLE, mu)
+        if mu == 0:
+            return NefStatus(S_NEF_ONLY, mu)
+        return NefStatus(RELATIVELY_NEF_ONLY, mu)
 
     def __repr__(self) -> str:
         lo, hi = self.domain
@@ -85,10 +94,7 @@ def roof(family: AdelicFamily) -> RoofFunction:
 def global_height(family: AdelicFamily) -> Real:
     """Twice the integral of the roof; -inf when an endpoint singularity
     is non-integrable. Exact rational for piecewise-affine rational data."""
-    total = roof(family).integral()
-    if isinstance(total, Fraction):
-        return 2 * total
-    return 2.0 * total
+    return roof(family).height()
 
 
 def point_height(family: AdelicFamily, t) -> float:
@@ -146,18 +152,17 @@ def boundary_height(family: AdelicFamily, point: str) -> Real:
     raise ValueError("boundary point must be 'zero' or 'infinity'")
 
 
-def global_energy(
+def place_energies(
     ref: AdelicFamily, sing: AdelicFamily, tol: float = 1e-9
-) -> float:
-    """Sum of local energies over the union of exceptional places.
+) -> Iterator[Tuple[Place, float]]:
+    """(place, local energy) at each place where the two profiles differ,
+    in canonical order; each energy is finite or -inf.
 
     The second family must be at most as singular as the first allows:
     at every place sup(psi_ref - psi_sing) must be finite."""
     if ref.divisor != sing.divisor:
         raise ValueError("families must share the divisor")
-    places = sorted(set(ref.places()) | set(sing.places()))
-    total = 0.0
-    for place in places:
+    for place in sorted(set(ref.places()) | set(sing.places())):
         psi, phi = ref.psi_at(place), sing.psi_at(place)
         if psi == phi:
             continue
@@ -165,6 +170,15 @@ def global_energy(
             term = local_energy(psi, phi, tol=tol)
         except ValueError as exc:
             raise type(exc)(f"at {place}: {exc}") from exc
+        yield place, term
+
+
+def global_energy(
+    ref: AdelicFamily, sing: AdelicFamily, tol: float = 1e-9
+) -> float:
+    """Sum of the place energies; stops at the first -inf."""
+    total = 0.0
+    for _, term in place_energies(ref, sing, tol):
         if term == -math.inf:
             return -math.inf
         total += term
@@ -180,9 +194,7 @@ def extended_height(
         raise ValueError("reference family is not arithmetically nef")
     base = global_height(ref)
     energy = global_energy(ref, sing, tol=tol)
-    if energy == -math.inf:
-        return -math.inf
-    if energy == 0.0:
+    if energy == 0:
         return base
     return float(base) + energy
 
@@ -199,13 +211,7 @@ class NefStatus:
 def nef_status(family: AdelicFamily) -> NefStatus:
     if not family.slope_valid:
         return NefStatus(NOT_RELATIVELY_NEF, None)
-    mu = roof(family).minimum()
-    value = float(mu)
-    if value > 0:
-        return NefStatus(S_AMPLE, mu)
-    if value == 0:
-        return NefStatus(S_NEF_ONLY, mu)
-    return NefStatus(RELATIVELY_NEF_ONLY, mu)
+    return roof(family).nef_status()
 
 
 def twist(family: AdelicFamily, c: Mapping[Place, object]) -> AdelicFamily:

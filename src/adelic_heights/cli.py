@@ -1,8 +1,9 @@
 """Command-line front end: parse families and profiles from JSON, run the
 height/energy/duality machinery, and emit JSON or CSV reports.
 
-Exit codes: 0 success (-inf is a value, not an error), 2 malformed input,
-3 precondition violation, 4 positive divergence.
+Exit codes: 0 success (-inf is a value, not an error), 2 malformed input
+(non-finite numbers included), 3 precondition violation or arithmetic
+failure, 4 positive divergence.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .adelic_curve.heights import (
     extended_height,
     global_height,
     nef_status,
+    place_energies,
     roof,
 )
 from .adelic_curve.places import LogLinear, Place, log_abs, support
 from .convex_calculus.duality import DualFn
-from .convex_calculus.energy import local_energy
 from .convex_calculus.functions import AffinePiece, AlphaPiece, ConcaveFn
 from .convex_calculus.measures import (
     Measure1D,
@@ -44,7 +45,7 @@ from .divisorial_core.cones import (
 )
 from .divisorial_core.completion import CompletionElement
 from .divisorial_core.intersection import IntersectionMap, extend_intersection
-from .divisorial_core.vectors import RationalVector
+from .divisorial_core.vectors import RationalVector, _num, _to_fraction
 
 Number = Union[int, float, Fraction]
 
@@ -54,6 +55,7 @@ EXIT_PRECONDITION = 3
 EXIT_DIVERGENCE = 4
 
 DEFAULT_GRID_POINTS = 513
+MAX_GRID_POINTS = 10_000
 
 
 class SchemaError(ValueError):
@@ -80,27 +82,20 @@ def encode_number(x) -> Union[int, float, str]:
 
 
 def decode_number(value) -> Union[Fraction, float]:
-    if isinstance(value, bool):
-        raise SchemaError(f"expected a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        if value == "-inf":
-            return -math.inf
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational literal {value!r}") from exc
-    raise SchemaError(f"expected a number, got {value!r}")
+    """A finite number, or the literal '-inf'."""
+    if value == "-inf":
+        return -math.inf
+    try:
+        return _num(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad number {value!r}: {exc}") from exc
 
 
 def _decode_finite(value) -> Fraction:
-    out = decode_number(value)
-    if not isinstance(out, Fraction):
-        out = Fraction(out)
-    return out
+    try:
+        return _to_fraction(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad rational {value!r}: {exc}") from exc
 
 
 def encode_log_linear(x: LogLinear) -> Dict[str, Union[int, float, str]]:
@@ -194,7 +189,7 @@ def decode_concave_fn(obj) -> ConcaveFn:
         raise SchemaError(str(exc)) from exc
     for field, computed in (("slope_neg", fn.slope_neg), ("slope_pos", fn.slope_pos)):
         declared = decode_number(obj[field])
-        if float(declared) != float(computed):
+        if declared != computed:
             raise SchemaError(
                 f"declared {field} {declared} does not match computed {computed}"
             )
@@ -258,15 +253,8 @@ def decode_family(obj) -> AdelicFamily:
         raise SchemaError(str(exc)) from exc
 
 
-def _dual_endpoint(d: DualFn, m):
-    try:
-        return d.value_exact(m)
-    except (TypeError, ValueError):
-        return d(m)
-
-
 def encode_dual_fn(d: DualFn) -> dict:
-    left, right = _dual_endpoint(d, d.lo), _dual_endpoint(d, d.hi)
+    left, right = d.value(d.lo), d.value(d.hi)
     edges = [d.lo] + list(d.breakpoints) + [d.hi]
     pieces = []
     for piece, lo, hi in zip(d.pieces, edges, edges[1:]):
@@ -340,13 +328,15 @@ def parse_grid(spec: str) -> Tuple[float, float, int]:
     if len(parts) != 3:
         raise SchemaError("grid must look like lo:hi:count")
     try:
-        lo = float(decode_number(parts[0]))
-        hi = float(decode_number(parts[1]))
+        lo = float(_decode_finite(parts[0]))
+        hi = float(_decode_finite(parts[1]))
         count = int(parts[2])
-    except (SchemaError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise SchemaError(f"bad grid {spec!r}") from exc
-    if not (lo < hi) or count < 2:
-        raise SchemaError("grid needs lo < hi and at least two points")
+    if not (lo < hi) or not 2 <= count <= MAX_GRID_POINTS:
+        raise SchemaError(
+            f"grid needs lo < hi and from 2 to {MAX_GRID_POINTS} points"
+        )
     return lo, hi, count
 
 
@@ -362,11 +352,10 @@ def grid_points(lo: float, hi: float, count: int) -> List[float]:
 
 
 def cmd_height(args) -> dict:
-    fam = decode_family(load_input(args.input))
-    theta = roof(fam)
-    status = nef_status(fam)
+    theta = roof(decode_family(load_input(args.input)))
+    status = theta.nef_status()
     return {
-        "height": encode_number(global_height(fam)),
+        "height": encode_number(theta.height()),
         "roof": encode_dual_fn(theta.dual),
         "status": status.status,
         "mu_min_asy": encode_number(status.mu_min_asy),
@@ -379,26 +368,14 @@ def cmd_energy(args) -> dict:
         raise SchemaError("energy input needs reference and singular families")
     ref = decode_family(obj["reference"])
     sing = decode_family(obj["singular"])
-    if ref.divisor != sing.divisor:
-        raise ValueError("families must share the divisor")
-    per_place = []
-    total = 0.0
-    for place in sorted(set(ref.places()) | set(sing.places())):
-        psi, phi = ref.psi_at(place), sing.psi_at(place)
-        if psi == phi:
-            continue
-        try:
-            term = local_energy(psi, phi, tol=args.tol)
-        except PositiveDivergenceError:
-            raise
-        except ValueError as exc:
-            raise type(exc)(f"at {place}: {exc}") from exc
-        per_place.append({"place": encode_place(place), "energy": encode_number(term)})
-        if term != -math.inf and total != -math.inf:
-            total += term
-        else:
-            total = -math.inf
-    return {"energy": encode_number(total), "per_place": per_place}
+    terms = list(place_energies(ref, sing, tol=args.tol))
+    return {
+        "energy": encode_number(sum((e for _, e in terms), 0.0)),
+        "per_place": [
+            {"place": encode_place(place), "energy": encode_number(e)}
+            for place, e in terms
+        ],
+    }
 
 
 def cmd_dual(args) -> dict:
@@ -656,8 +633,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.tol is None:
             args.tol = _default_tol()
-        if not args.tol > 0:
-            raise SchemaError("tolerance must be positive")
+        if not 0 < args.tol < math.inf:
+            raise SchemaError("tolerance must be positive and finite")
         payload = HANDLERS[args.command](args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -665,7 +642,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PositiveDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     write_output(render(payload, args.fmt), args.out)

@@ -10,22 +10,35 @@ conjugated back.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from ..divisorial_core.vectors import _to_fraction
-from .functions import (
-    AffinePiece,
-    AlphaPiece,
-    ConcaveFn,
-    Number,
-    _num,
-)
+from ..divisorial_core.vectors import _num, _to_fraction
+from .functions import AffinePiece, AlphaPiece, ConcaveFn, Number
 from .measures import PositiveDivergenceError
 
+# Slack for slope comparisons that involve a float (the derivative of an
+# alpha piece, or float input); rational slopes are compared exactly.
 _EQ_TOL = 1e-12
+
+
+def _exact(*xs) -> bool:
+    return all(isinstance(x, Fraction) for x in xs)
+
+
+def _above(x: Number, y: Number) -> bool:
+    """Slope x lies strictly above slope y."""
+    return x > y if _exact(x, y) else float(x) > float(y) + _EQ_TOL
+
+
+def _differ(x: Number, y: Number) -> bool:
+    """Slopes x and y disagree (beyond float rounding, if either is a float)."""
+    if _exact(x, y):
+        return x != y
+    return abs(float(x) - float(y)) > 1e-9 * max(1.0, abs(float(y)))
 
 
 @dataclass(frozen=True)
@@ -71,14 +84,13 @@ class DualPiece:
             v += tv
         return v
 
-    def value_exact(self, m: Fraction) -> Fraction:
-        if self.terms:
-            raise ValueError("exact evaluation needs an affine dual piece")
-        if not (
-            isinstance(self.slope, Fraction) and isinstance(self.intercept, Fraction)
-        ):
-            raise ValueError("exact evaluation needs rational coefficients")
-        return self.slope * _to_fraction(m) + self.intercept
+    def is_exact(self) -> bool:
+        """Affine with rational coefficients: evaluates and integrates exactly."""
+        return (
+            not self.terms
+            and isinstance(self.slope, Fraction)
+            and isinstance(self.intercept, Fraction)
+        )
 
     def derivative(self, m) -> float:
         v = float(self.slope)
@@ -109,7 +121,7 @@ class DualFn:
         self.hi = _num(hi)
         self.breakpoints = tuple(_num(b) for b in breakpoints)
         self.pieces = tuple(pieces)
-        if float(self.lo) > float(self.hi):
+        if self.lo > self.hi:
             raise ValueError("empty dual domain")
         if self.is_degenerate():
             if len(self.pieces) > 1 or self.breakpoints:
@@ -117,64 +129,61 @@ class DualFn:
             return
         if len(self.pieces) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
-        knots = [float(self.lo)] + [float(b) for b in self.breakpoints] + [
-            float(self.hi)
-        ]
+        knots = (self.lo, *self.breakpoints, self.hi)
         if any(b2 <= b1 for b1, b2 in zip(knots, knots[1:])):
             raise ValueError("dual breakpoints must increase inside the domain")
 
     def is_degenerate(self) -> bool:
-        return float(self.lo) == float(self.hi)
+        return self.lo == self.hi
 
     def piece_at(self, m) -> DualPiece:
-        mf = float(m)
-        if not float(self.lo) <= mf <= float(self.hi):
+        # a float probe (a grid point) is checked in float precision, so
+        # float(lo) and float(hi) stay inside even when they round outward
+        lo, hi = self.lo, self.hi
+        if isinstance(m, float):
+            lo, hi = float(lo), float(hi)
+        if not lo <= m <= hi:
             raise ValueError(f"{m} outside the dual domain")
-        idx = 0
-        for b in self.breakpoints:
-            if mf > float(b):
-                idx += 1
-            else:
-                break
-        return self.pieces[min(idx, len(self.pieces) - 1)]
+        return self.pieces[bisect.bisect_left(self.breakpoints, m)]
 
     def __call__(self, m) -> float:
         return self.piece_at(m).value(m)
 
+    def value(self, m) -> Union[Fraction, float]:
+        """Exact Fraction where the piece at m is exact, float otherwise
+        (-inf at a non-integrable endpoint)."""
+        piece = self.piece_at(m)
+        if piece.is_exact():
+            return piece.slope * _to_fraction(m) + piece.intercept
+        return piece.value(m)
+
     def value_exact(self, m) -> Fraction:
-        return self.piece_at(m).value_exact(_to_fraction(m))
+        value = self.value(m)
+        if not isinstance(value, Fraction):
+            raise ValueError("exact evaluation needs a rational affine dual piece")
+        return value
 
     def derivative(self, m) -> float:
         return self.piece_at(m).derivative(m)
-
-    def endpoint_values(self) -> Tuple[float, float]:
-        if self.is_degenerate():
-            v = self.pieces[0].value(self.lo)
-            return v, v
-        return self(self.lo), self(self.hi)
 
     def is_affine_piecewise(self) -> bool:
         return all(not p.terms for p in self.pieces)
 
     def __add__(self, other: "DualFn") -> "DualFn":
-        if float(self.lo) != float(other.lo) or float(self.hi) != float(other.hi):
+        if self.lo != other.lo or self.hi != other.hi:
             raise ValueError("dual functions live on different slope intervals")
         if self.is_degenerate():
             return DualFn(
                 self.lo, self.hi, [], [self.pieces[0].add(other.pieces[0])]
             )
-        knots = sorted(
-            set(float(b) for b in self.breakpoints)
-            | set(float(b) for b in other.breakpoints)
-        )
-        # keep exact breakpoint values where available
-        exact = {float(b): b for b in list(other.breakpoints) + list(self.breakpoints)}
-        bps = [exact[k] for k in knots]
-        pieces = []
-        edges = [self.lo] + bps + [self.hi]
-        for i in range(len(edges) - 1):
-            mid = (float(edges[i]) + float(edges[i + 1])) / 2.0
-            pieces.append(self.piece_at(mid).add(other.piece_at(mid)))
+        bps = sorted(set(self.breakpoints) | set(other.breakpoints))
+        # the pieces of each summand that start at each merged left edge
+        pieces = [
+            self.pieces[bisect.bisect_right(self.breakpoints, m)].add(
+                other.pieces[bisect.bisect_right(other.breakpoints, m)]
+            )
+            for m in [self.lo] + bps
+        ]
         return DualFn(self.lo, self.hi, bps, pieces)
 
     def integral(self) -> Union[Fraction, float]:
@@ -182,37 +191,20 @@ class DualFn:
 
         Endpoint singularities with exponent > -1 converge; at -1 and
         below the integral is -inf (positive divergence cannot occur for
-        a concave dual but is guarded)."""
-        if self.is_degenerate():
-            return Fraction(0)
+        a concave dual, and would raise PositiveDivergenceError)."""
         total: Union[Fraction, float] = Fraction(0)
+        if self.is_degenerate():
+            return total
         edges = [self.lo] + list(self.breakpoints) + [self.hi]
         for piece, a, b in zip(self.pieces, edges, edges[1:]):
-            if (
-                not piece.terms
-                and isinstance(piece.slope, Fraction)
-                and isinstance(piece.intercept, Fraction)
-                and isinstance(a, Fraction)
-                and isinstance(b, Fraction)
-            ):
-                seg: Union[Fraction, float] = piece.slope * (b * b - a * a) / 2 + (
-                    piece.intercept * (b - a)
-                )
+            if piece.is_exact() and _exact(a, b):
+                total += piece.slope * (b * b - a * a) / 2 + piece.intercept * (b - a)
             else:
                 af, bf = float(a), float(b)
-                seg = float(piece.slope) * (bf * bf - af * af) / 2.0 + float(
+                total += float(piece.slope) * (bf * bf - af * af) / 2.0 + float(
                     piece.intercept
                 ) * (bf - af)
-                for t in piece.terms:
-                    seg += _integrate_power_term(t, af, bf)
-                    if seg == -math.inf:
-                        break
-            if seg == -math.inf:
-                return -math.inf
-            if isinstance(total, Fraction) and isinstance(seg, Fraction):
-                total = total + seg
-            else:
-                total = float(total) + float(seg)
+                total += sum(_integrate_power_term(t, af, bf) for t in piece.terms)
         return total
 
 
@@ -247,7 +239,7 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
     (m - s) - c + (1 - 1/alpha)*(s - m)**(alpha/(alpha-1)).
     """
     lo, hi = f.slope_pos, f.slope_neg
-    if float(lo) == float(hi):
+    if lo == hi:
         return DualFn(lo, hi, [], [DualPiece(0, -f.pieces[0].intercept)])
     entries: List[Tuple[Number, DualPiece]] = []  # (upper edge, piece)
     cur: Number = lo
@@ -258,18 +250,15 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
         if i < n - 1:
             t = f.breakpoints[i]
             d_hi = piece.derivative(t) if isinstance(piece, AlphaPiece) else piece.slope
-            if float(d_hi) > float(cur) + _EQ_TOL:
-                try:
-                    ft: Number = f.value_exact(t)
-                except ValueError:
-                    ft = f(t)
-                entries.append((d_hi, DualPiece(t, -ft)))
+            if _above(d_hi, cur):
+                # exact when the piece is affine with rational coefficients
+                entries.append((d_hi, DualPiece(t, -piece.value(t))))
                 cur = d_hi
         if isinstance(piece, AlphaPiece):
             left = f.breakpoints[i - 1] if i >= 1 else None
             s, c, alpha = piece.slope, piece.intercept, float(piece.alpha)
             d_left: Number = s if left is None else piece.derivative(left)
-            if float(d_left) > float(cur) + _EQ_TOL:
+            if _above(d_left, cur):
                 term = PowerTerm(
                     1.0 - 1.0 / alpha, alpha / (alpha - 1.0), s
                 )
@@ -277,12 +266,10 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
                 cur = d_left
         else:
             # derivative is constant here; realign exactly on the slope
-            if abs(float(piece.slope) - float(cur)) > 1e-9 * max(
-                1.0, abs(float(cur))
-            ):
+            if _differ(piece.slope, cur):
                 raise AssertionError("slope bookkeeping failed in the transform")
             cur = piece.slope
-    if abs(float(cur) - float(hi)) > 1e-9 * max(1.0, abs(float(hi))):
+    if _differ(cur, hi):
         raise AssertionError("transform did not reach the top slope")
     bps = [e for e, _ in entries[:-1]]
     pieces = [p for _, p in entries]
@@ -296,7 +283,7 @@ def legendre_bidual(d: DualFn) -> ConcaveFn:
         raise ValueError("exact biconjugation needs a piecewise-affine dual")
     if d.is_degenerate():
         m = _to_fraction(d.lo)
-        return ConcaveFn([], [AffinePiece(m, -d.pieces[0].value_exact(m))])
+        return ConcaveFn([], [AffinePiece(m, -d.value_exact(m))])
     ms = [d.lo] + list(d.breakpoints) + [d.hi]
     vertices = []
     for m in ms:
@@ -317,7 +304,7 @@ def conjugate_eval(d: DualFn, u: float) -> float:
     sign bisection on its slope u - d'(m) suffices.
     """
     lo, hi = float(d.lo), float(d.hi)
-    if lo == hi:
+    if d.is_degenerate():
         return lo * u - d.pieces[0].value(lo)
     span = hi - lo
     eps = 1e-12 * max(1.0, abs(lo), abs(hi))
@@ -348,11 +335,7 @@ def dual_sup_distance(d1: DualFn, d2: DualFn) -> float:
     """Sup of |d1 - d2| over the common domain, for piecewise-affine duals."""
     if not (d1.is_affine_piecewise() and d2.is_affine_piecewise()):
         raise ValueError("sup distance implemented for piecewise-affine duals")
-    if float(d1.lo) != float(d2.lo) or float(d1.hi) != float(d2.hi):
+    if d1.lo != d2.lo or d1.hi != d2.hi:
         raise ValueError("dual functions live on different slope intervals")
-    ms = (
-        {float(d1.lo), float(d1.hi)}
-        | {float(b) for b in d1.breakpoints}
-        | {float(b) for b in d2.breakpoints}
-    )
-    return max(abs(d1(m) - d2(m)) for m in sorted(ms))
+    ms = {d1.lo, d1.hi, *d1.breakpoints, *d2.breakpoints}
+    return max(abs(d1(m) - d2(m)) for m in ms)

@@ -5,9 +5,9 @@ the singular profile (1/alpha)*(1-u)**alpha (0 < alpha < 1) to an affine
 part. Alpha pieces are restricted to intervals with right endpoint <= 0,
 so 1-u >= 1 on their domain and every power expression stays smooth.
 
-Arithmetic is exact (Fractions) wherever only affine data is involved;
-crossings against alpha pieces are bracketed by exact sign analysis and
-then bisected to 1e-12 relative accuracy.
+Arithmetic and every decision are exact (Fractions) wherever only affine
+data is involved; crossings against alpha pieces are bracketed by exact
+sign analysis and then bisected to _REL_TOL relative accuracy.
 """
 
 from __future__ import annotations
@@ -18,23 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..divisorial_core.vectors import _to_fraction
+from ..divisorial_core.vectors import _num, _to_fraction
 
 Number = Union[int, Fraction, float]
 
+# Tolerances for the float arithmetic of singular (alpha) terms only:
+# bisection width for roots of power expressions, and the size below which
+# a power-term coefficient left over from cancellation counts as zero.
 _REL_TOL = 1e-12
 _COEFF_TOL = 1e-14
-
-
-def _num(x) -> Number:
-    """Normalise scalar input: ints and strings become Fractions, floats stay."""
-    if isinstance(x, (Fraction, float)):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected a number, got {type(x).__name__}")
 
 
 def _close(a: float, b: float, atol: float = 1e-8, rtol: float = 1e-8) -> bool:
@@ -76,8 +68,7 @@ class AlphaPiece:
         object.__setattr__(self, "alpha", _num(self.alpha))
         object.__setattr__(self, "slope", _num(self.slope))
         object.__setattr__(self, "intercept", _num(self.intercept))
-        a = float(self.alpha)
-        if not 0 < a < 1:
+        if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
     def value(self, u) -> float:
@@ -139,11 +130,7 @@ class _Expr:
         )
 
     def is_zero(self) -> bool:
-        return (
-            not self.terms
-            and float(self.slope) == 0.0
-            and float(self.intercept) == 0.0
-        )
+        return not self.terms and self.slope == 0 and self.intercept == 0
 
     def value(self, u) -> float:
         v = float(self.slope) * float(u) + float(self.intercept)
@@ -166,17 +153,16 @@ class _Expr:
         return s
 
     def sign_at_minus_inf(self) -> int:
-        if float(self.slope) != 0.0:
-            return -1 if float(self.slope) > 0 else 1
+        if self.slope != 0:
+            return -1 if self.slope > 0 else 1
         pos_terms = [(c, e) for c, e in self.terms if e > 0]
         if pos_terms:
-            c_lead = max(pos_terms, key=lambda t: t[1])[0]
             # sum coefficients sharing the leading exponent
             e_lead = max(t[1] for t in pos_terms)
             c_lead = sum(c for c, e in pos_terms if e == e_lead)
             if abs(c_lead) > _COEFF_TOL:
                 return 1 if c_lead > 0 else -1
-        lim = float(self.intercept) + sum(c for c, e in self.terms if e == 0.0)
+        lim = self.intercept + sum(c for c, e in self.terms if e == 0.0)
         if lim > 0:
             return 1
         if lim < 0:
@@ -185,7 +171,7 @@ class _Expr:
 
     def limit_at_minus_inf(self) -> float:
         """Finite limit when slope and positive-exponent terms vanish."""
-        if float(self.slope) != 0.0 or any(
+        if self.slope != 0 or any(
             e > 0 and abs(c) > _COEFF_TOL for c, e in self.terms
         ):
             raise ValueError("expression diverges toward -infinity")
@@ -193,6 +179,7 @@ class _Expr:
 
 
 def _sign(v: float, scale: float) -> int:
+    # float values of a power expression: zero within rounding of its scale
     if abs(v) <= 1e-14 * scale:
         return 0
     return 1 if v > 0 else -1
@@ -312,13 +299,9 @@ def _expr_roots(expr: _Expr, lo: Optional[Fraction], hi: Optional[Fraction]) -> 
     if expr.is_zero():
         return []
     if not expr.terms:
-        if float(expr.slope) == 0.0:
+        if expr.slope == 0:
             return []
-        root = -_to_fraction(expr.intercept) / _to_fraction(expr.slope) if isinstance(
-            expr.slope, Fraction
-        ) and isinstance(expr.intercept, Fraction) else Fraction(
-            -float(expr.intercept) / float(expr.slope)
-        )
+        root = _to_fraction(-expr.intercept / expr.slope)
         if (lo is None or root > lo) and (hi is None or root < hi):
             return [root]
         return []
@@ -341,7 +324,9 @@ def _expr_roots(expr: _Expr, lo: Optional[Fraction], hi: Optional[Fraction]) -> 
     for r in sorted(set(roots)):
         fr = Fraction(r)
         if (lo is None or fr > lo) and fr < hi:
-            if not out or float(fr) - float(out[-1]) > 1e-12 * max(1.0, abs(float(fr))):
+            # float roots of a power expression closer than the bisection
+            # width are one root
+            if not out or float(fr) - float(out[-1]) > _REL_TOL * max(1.0, abs(float(fr))):
                 out.append(fr)
     return out
 
@@ -406,6 +391,7 @@ class ConcaveFn:
                 if not left.slope >= right.slope:
                     raise ValueError(f"not concave at breakpoint {t}")
             else:
+                # a singular side is evaluated in floats: compare with slack
                 lv, rv = float(left.value(t)), float(right.value(t))
                 if not _close(lv, rv):
                     raise ValueError(f"discontinuity at breakpoint {t}")
@@ -507,9 +493,9 @@ def min_concave(f: ConcaveFn, g: ConcaveFn) -> ConcaveFn:
     for i in range(len(cuts) + 1):
         lo, hi = edges2[i], edges2[i + 1]
         probe = _probe_point(lo, hi)
-        fv, gv = f(probe), g(probe)
-        winner = f if fv <= gv else g
-        pieces.append(winner.piece_at(probe))
+        fp, gp = f.piece_at(probe), g.piece_at(probe)
+        # affine pieces evaluate exactly at the rational probe
+        pieces.append(fp if fp.value(probe) <= gp.value(probe) else gp)
     return ConcaveFn(cuts, pieces)
 
 
@@ -536,25 +522,17 @@ def cutoff(phi: ConcaveFn, psi: ConcaveFn, n) -> ConcaveFn:
 
 def bounded_above(f: ConcaveFn, g: ConcaveFn) -> bool:
     """Whether f - g is bounded above on the whole line (analytically)."""
-    ds_pos = float(f.slope_pos) - float(g.slope_pos)
-    if ds_pos > 0:
+    if f.slope_pos > g.slope_pos or f.slope_neg < g.slope_neg:
         return False
-    ds_neg = float(f.slope_neg) - float(g.slope_neg)
-    if ds_neg < 0:
-        return False
-    if ds_neg == 0:
+    if f.slope_neg == g.slope_neg:
         d = _Expr.difference(f.pieces[0], g.pieces[0])
-        for c, e in d.terms:
-            if e > 0 and c > _COEFF_TOL:
-                return False
+        return not any(e > 0 and c > _COEFF_TOL for c, e in d.terms)
     return True
 
 
 def sup_distance(f: ConcaveFn, g: ConcaveFn) -> float:
     """Supremum of |f - g| over the line; +inf when the deviation is unbounded."""
-    if float(f.slope_neg) != float(g.slope_neg) or float(f.slope_pos) != float(
-        g.slope_pos
-    ):
+    if f.slope_neg != g.slope_neg or f.slope_pos != g.slope_pos:
         return math.inf
     base = _merged_partition(f, g)
     edges: List[Optional[Fraction]] = [None] + base + [None]

@@ -1,6 +1,10 @@
 """Measures on the line with atoms plus power-law densities, the
 second-derivative measure of a concave function, and integration of
-piece differences with exact divergence classification."""
+piece differences with exact divergence classification.
+
+Divergence convention: an integral is a finite value or -inf; an integral
+that diverges to +inf raises PositiveDivergenceError.
+"""
 
 from __future__ import annotations
 
@@ -52,27 +56,19 @@ class DensityPiece:
         return self.coeff * (1.0 - u) ** self.exponent
 
     def mass(self) -> float:
-        v = _integrate_terms_in_t(
+        return _integrate_terms_in_t(
             [(self.coeff, float(self.exponent))], self.lo, self.hi
         )
-        if v is _POSITIVE_DIVERGENT:
-            return math.inf
-        if v is _NEGATIVE_DIVERGENT:
-            return -math.inf
-        return v
-
-
-_POSITIVE_DIVERGENT = object()
-_NEGATIVE_DIVERGENT = object()
 
 
 def _integrate_terms_in_t(
     terms: Sequence[Tuple[float, float]], lo: Optional[Fraction], hi: Fraction
-):
+) -> float:
     """Integral over u in [lo, hi] of sum coeff*(1-u)**e, via t = 1-u.
 
-    Returns a float, or a divergence sentinel when the t-integral up to
-    +infinity has a nonvanishing term with exponent >= -1.
+    When the t-integral up to +infinity has a nonvanishing term with
+    exponent >= -1, the leading such exponent decides: -inf, or
+    PositiveDivergenceError.
     """
     t0 = 1.0 - float(hi)
     if lo is None:
@@ -93,9 +89,11 @@ def _integrate_terms_in_t(
                 e_lead = divergent[i][1]
                 csum = sum(c for c, e in divergent if e == e_lead)
                 if abs(csum) > _COEFF_TOL:
-                    return (
-                        _POSITIVE_DIVERGENT if csum > 0 else _NEGATIVE_DIVERGENT
-                    )
+                    if csum > 0:
+                        raise PositiveDivergenceError(
+                            "integral diverges to +infinity"
+                        )
+                    return -math.inf
                 i += sum(1 for _, e in divergent if e == e_lead)
             # all divergent groups cancel exactly
         return convergent
@@ -139,25 +137,20 @@ class Measure1D:
         )
         object.__setattr__(self, "densities", tuple(self.densities))
         for _, m in self.atoms:
-            if float(m) < 0:
+            if m < 0:
                 raise ValueError("atom masses must be nonnegative")
         for d in self.densities:
             if d.coeff < 0:
                 raise ValueError("density coefficients must be nonnegative")
 
     @property
-    def total_mass(self) -> float:
-        total = sum(float(m) for _, m in self.atoms)
+    def total_mass(self) -> Union[Fraction, float]:
+        """Exact Fraction when there are no densities and the atom masses
+        are rational; float otherwise."""
+        total = sum((m for _, m in self.atoms), Fraction(0))
         for d in self.densities:
             total += d.mass()
         return total
-
-    def total_mass_exact(self) -> Fraction:
-        """Exact mass when all atoms are rational and densities integrate
-        to rationals (only the trivial case of no densities is exact)."""
-        if self.densities:
-            raise ValueError("densities do not have exact masses")
-        return sum((_to_fraction(m) for _, m in self.atoms), Fraction(0))
 
 
 def monge_ampere(f: ConcaveFn) -> Measure1D:
@@ -175,12 +168,13 @@ def monge_ampere(f: ConcaveFn) -> Measure1D:
             gap: Number = left.slope - right.slope
         else:
             gap = left.derivative(t) - right.derivative(t)
-        gv = float(gap)
-        if gv < 0:
-            if gv < -1e-9 * max(1.0, abs(float(left.derivative(t)))):
+        if gap < 0:
+            # only a float gap next to an alpha piece can dip below zero,
+            # by rounding; construction bounds it by the same slack
+            if gap < -1e-9 * max(1.0, abs(float(left.derivative(t)))):
                 raise ValueError(f"negative slope gap at breakpoint {t}")
             continue
-        if gv != 0:
+        if gap != 0:
             atoms.append((t, gap))
     densities: List[DensityPiece] = []
     for lo, hi, piece in f.intervals():
@@ -212,40 +206,24 @@ def integrate_against(
     negatively divergent integral returns -inf; a positively divergent one
     raises PositiveDivergenceError.
     """
+    if method not in ("auto", "exact", "quad"):
+        raise ValueError(f"unknown method {method!r}")
     f, g = pair
     total = 0.0
     for loc, m in mu.atoms:
         total += float(m) * (f(loc) - g(loc))
     cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    diverged_neg = False
     for piece in mu.densities:
         for lo, hi in _subdivide(piece, cuts):
             probe = _probe_point(lo, hi)
             expr = _Expr.difference(f.piece_at(probe), g.piece_at(probe))
-            if method in ("auto", "exact"):
-                terms = _expr_times_density_terms(
-                    expr, DensityPiece(lo, hi, piece.coeff, piece.exponent)
-                )
-                v = _integrate_terms_in_t(terms, lo, hi)
-                if v is _POSITIVE_DIVERGENT:
-                    raise PositiveDivergenceError(
-                        "integral diverges to +infinity"
-                    )
-                if v is _NEGATIVE_DIVERGENT:
-                    diverged_neg = True
-                else:
-                    total += v
-            elif method == "quad":
-                sub = DensityPiece(lo, hi, piece.coeff, piece.exponent)
-                v = _quad_piece(lambda u: expr.value(u), sub, tol)
-                if v == -math.inf:
-                    diverged_neg = True
-                else:
-                    total += v
+            sub = DensityPiece(lo, hi, piece.coeff, piece.exponent)
+            if method == "quad":
+                total += _quad_piece(expr.value, sub, tol)
             else:
-                raise ValueError(f"unknown method {method!r}")
-    if diverged_neg:
-        return -math.inf
+                total += _integrate_terms_in_t(
+                    _expr_times_density_terms(expr, sub), lo, hi
+                )
     return total
 
 
@@ -254,7 +232,8 @@ def _quad_piece(fn: Callable[[float], float], piece: DensityPiece, tol: float) -
 
     Unbounded pieces integrate over doubling windows moving left; the tail
     is declared convergent after three successive negligible windows and
-    divergent after three successive windows of growing magnitude.
+    divergent after three successive windows of growing magnitude: -inf,
+    or PositiveDivergenceError when the growing windows are positive.
     """
 
     def integrand(u: float) -> float:
@@ -285,7 +264,9 @@ def _quad_piece(fn: Callable[[float], float], piece: DensityPiece, tol: float) -
         if prev_mag is not None and mag > prev_mag * 1.1:
             grow_streak += 1
             if grow_streak >= 3 and lo is None:
-                return -math.inf if seg < 0 else math.inf
+                if seg > 0:
+                    raise PositiveDivergenceError("integral diverges to +infinity")
+                return -math.inf
         else:
             grow_streak = 0
         prev_mag = mag
@@ -301,15 +282,13 @@ def _quad_piece(fn: Callable[[float], float], piece: DensityPiece, tol: float) -
 
 
 def integrate_measure(fn: Callable[[float], float], mu: Measure1D, tol: float = 1e-9) -> float:
-    """Integral of an arbitrary (bounded, continuous) function against mu."""
+    """Integral of an arbitrary (bounded, continuous) function against mu:
+    finite, -inf, or PositiveDivergenceError like integrate_against."""
     total = 0.0
     for loc, m in mu.atoms:
         total += float(m) * fn(float(loc))
     for piece in mu.densities:
-        v = _quad_piece(fn, piece, tol)
-        if math.isinf(v):
-            return v
-        total += v
+        total += _quad_piece(fn, piece, tol)
     return total
 
 

@@ -7,8 +7,6 @@ from .cones import (
     Cell,
     SemilinearCone,
     DivisorialSpace,
-    cone_contains,
-    cone_closure_contains,
     leq,
     d_b,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "Cell",
     "SemilinearCone",
     "DivisorialSpace",
-    "cone_contains",
-    "cone_closure_contains",
     "leq",
     "d_b",
     "CompletionElement",

@@ -378,14 +378,6 @@ class SemilinearCone:
         )
 
 
-def cone_contains(cone: SemilinearCone, x: RationalVector) -> bool:
-    return cone.contains(x)
-
-
-def cone_closure_contains(cone: SemilinearCone, x: RationalVector) -> bool:
-    return cone.closure().contains(x)
-
-
 def _rank(vectors: Sequence[RationalVector], dim: int) -> int:
     rows = [list(v.coords) for v in vectors]
     rank = 0

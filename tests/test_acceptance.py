@@ -50,8 +50,6 @@ from adelic_heights.divisorial_core import (
     IntersectionMap,
     RationalVector,
     SemilinearCone,
-    cone_closure_contains,
-    cone_contains,
     d_b,
     extend_intersection,
 )
@@ -392,11 +390,11 @@ def test_criterion_11_core_examples():
     for cone, gens, inward in cones:
         probes = list(gens) + [inward, V([0, -1]), V([-1, 0]), V([-3, 2]), V([2, -3])]
         for x in probes:
-            closure_ok &= cone_closure_contains(cone, x) == _witness_in_closure(
+            closure_ok &= cone.closure().contains(x) == _witness_in_closure(
                 cone, x, inward
             )
-            if cone_contains(cone, x):
-                closure_ok &= cone_closure_contains(cone, x)
+            if cone.contains(x):
+                closure_ok &= cone.closure().contains(x)
 
     # bilinear pairing extended to completion points
     pairing = IntersectionMap(space, 2, {(0, 1): 1})

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelic_heights.adelic_curve import (
@@ -28,11 +28,14 @@ from adelic_heights.adelic_curve import (
     support,
     twist,
 )
+from adelic_heights.convex_calculus.duality import legendre_dual
 from adelic_heights.convex_calculus.functions import (
     AffinePiece,
     AlphaPiece,
     ConcaveFn,
 )
+
+from profiles import near_colliding_profiles, profile_through
 
 INF = Place.infinity()
 
@@ -197,6 +200,19 @@ class TestFamily:
         assert strongly_nef_local_check(alpha_profile(F(1, 4)), d) == (True, False)
         assert strongly_nef_local_check(ConcaveFn.affine(F(1, 2)), d)[0] is False
 
+    @given(st.integers(1, 40), st.sampled_from([-1, 1]), st.booleans())
+    @example(20, 1, True)
+    @example(20, -1, False)
+    @settings(max_examples=40, deadline=None)
+    def test_slope_off_by_tiny_amount_is_rejected(self, k, sign, at_neg):
+        eps = sign * F(1, 10**k)
+        slopes = (1 + eps, F(0)) if at_neg else (F(1), eps)
+        psi = ConcaveFn([0], [AffinePiece(slopes[0], 0), AffinePiece(slopes[1], 0)])
+        d = hyperplane_divisor()
+        with pytest.raises(ValueError, match="wrong asymptotic slopes"):
+            AdelicFamily(d, {INF: psi})
+        assert strongly_nef_local_check(psi, d) == (False, False)
+
 
 class TestRoof:
     def test_canonical_roof_is_zero(self):
@@ -236,6 +252,24 @@ class TestRoof:
         )
         with pytest.raises(ValueError, match="slope"):
             roof(loose)
+
+    @given(
+        st.lists(near_colliding_profiles([F(1, 3), F(1, 2)], max_inner=3), min_size=1, max_size=4)
+    )
+    @example(
+        [
+            profile_through([F(1), F(1, 3), F(0)], [F(-1), F(2)]),
+            profile_through([F(1), F(1, 3) + F(1, 10**20), F(0)], [F(-2), F(1)]),
+        ]
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_roof_additivity_exact(self, profiles):
+        places = [Place.prime(p) for p in (2, 3, 5, 7)]
+        fam = AdelicFamily(hyperplane_divisor(), dict(zip(places, profiles)))
+        height = global_height(fam)
+        expected = 2 * sum((legendre_dual(psi).integral() for psi in profiles), F(0))
+        assert isinstance(height, F) and isinstance(expected, F)
+        assert height == expected
 
 
 class TestHeights:
@@ -419,6 +453,17 @@ class TestNefStatus:
         status = nef_status(loose)
         assert status.status == "not_relatively_nef"
         assert status.mu_min_asy is None
+
+    @given(st.integers(1, 400), st.sampled_from([-1, 1]))
+    @example(400, 1)
+    @example(400, -1)
+    @settings(max_examples=30, deadline=None)
+    def test_sign_of_tiny_minimum_is_exact(self, k, sign):
+        mu = sign * F(1, 10**k)
+        psi = canonical_fn(hyperplane_divisor()).shift(-mu)
+        status = nef_status(AdelicFamily(hyperplane_divisor(), {Place.prime(7): psi}))
+        expected = "S_ample" if sign > 0 else "relatively_nef_only"
+        assert status == NefStatus(expected, mu)
 
     def test_twist_upgrades_to_ample(self):
         fam = AdelicFamily(

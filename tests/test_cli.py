@@ -45,6 +45,18 @@ ALPHA_FAMILY = {
 }
 
 
+def with_params(psi, **params):
+    """A copy of the profile with the given params set on every piece."""
+    out = json.loads(json.dumps(psi))
+    for piece in out["pieces"]:
+        piece["params"].update(params)
+    return out
+
+
+def family_of(psi, **divisor):
+    return {"divisor": {"a": 0, "b": 1, **divisor}, "exceptions": [{"place": 2, "psi": psi}]}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -360,11 +372,31 @@ class TestDualAndMa:
         payload = run_json(capsys, "dual", "--input", json.dumps(line))
         assert payload["samples"] == [[1.0, -3.0]]
 
+    @pytest.mark.parametrize("slopes", [("1/10", 0), (1, "1/3")])
+    def test_dual_default_grid_on_inexact_float_endpoints(self, capsys, slopes):
+        # float(1/10) > 1/10 and float(1/3) < 1/3: the grid ends still sample
+        neg, pos = slopes
+        ramp = json.loads(json.dumps(RAMP))
+        ramp["slope_neg"], ramp["slope_pos"] = neg, pos
+        ramp["pieces"][0]["params"]["slope"] = neg
+        ramp["pieces"][1]["params"]["slope"] = pos
+        payload = run_json(capsys, "dual", "--input", json.dumps(ramp))
+        assert payload["lo"] == pos and payload["hi"] == neg
+        assert len(payload["samples"]) == 513
+        assert all(v == 0 for _, v in payload["samples"])
+
     def test_ma_atom(self, capsys):
         payload = run_json(capsys, "ma", "--input", json.dumps(RAMP))
         assert payload["atoms"] == [{"at": 0, "mass": 1}]
         assert payload["densities"] == []
         assert payload["total_mass"] == 1
+
+    def test_ma_exact_fractional_mass(self, capsys):
+        kink = json.loads(json.dumps(RAMP))
+        kink["slope_pos"] = kink["pieces"][1]["params"]["slope"] = "1/2"
+        payload = run_json(capsys, "ma", "--input", json.dumps(kink))
+        assert payload["atoms"] == [{"at": 0, "mass": "1/2"}]
+        assert payload["total_mass"] == "1/2"
 
     def test_ma_singular_density(self, capsys):
         payload = run_json(capsys, "ma", "--input", json.dumps(ALPHA_PSI))
@@ -414,6 +446,15 @@ class TestPlot:
         assert series == {"psi:canonical", "psi:2", "roof"}
         assert lines[-1].startswith("roof,1,") and lines[-1].endswith("-inf")
 
+    @pytest.mark.parametrize("b", ["1/10", "1/3"])
+    def test_roof_on_inexact_float_endpoints(self, capsys, b):
+        fam = {"divisor": {"a": 0, "b": b}, "exceptions": []}
+        code, out, err = run(capsys, "plot", "--input", json.dumps(fam), "--grid=0:1:3")
+        assert code == 0, err
+        roof_rows = [line for line in out.splitlines() if line.startswith("roof,")]
+        assert len(roof_rows) == 3
+        assert roof_rows[-1] == f"roof,{float(F(b)):.12g},0"
+
     def test_plot_to_file(self, capsys, tmp_path):
         target = tmp_path / "plot.csv"
         code, out, _ = run(
@@ -442,6 +483,55 @@ class TestCoreDemo:
         assert payload["closure"] == {"probe": [0, -1], "in_cone": False, "in_closure": True}
         assert payload["extension"]["limit"] == 1
         assert payload["extension"]["value"] == pytest.approx(1.0, abs=1e-6)
+
+
+HUGE_RAMP = with_params(RAMP, intercept="1e400")
+NON_FINITE_PARAMS = [
+    ("height", "--input", json.dumps(family_of(with_params(RAMP, intercept=bad))))
+    for bad in (math.nan, math.inf, -math.inf, "-inf")
+]
+FINITE_ONLY = NON_FINITE_PARAMS + [
+    ("height", "--input", '{"divisor": {"a": 0, "b": 1e400}}'),
+    ("height", "--input", json.dumps(family_of(RAMP, a="-inf"))),
+    ("ma", "--input", json.dumps(RAMP).replace('"to": 0', '"to": "-inf"')),
+    ("example-alpha", "--alpha=-inf"),
+    ("example-alpha", "--alpha", "nan"),
+    ("product-formula", "--", "-inf"),
+    ("dual", "--input", json.dumps(RAMP), "--grid=-inf:1:5"),
+    ("dual", "--input", json.dumps(RAMP), "--grid=0:1e400:5"),
+    ("dual", "--input", json.dumps(RAMP), "--grid=0:1:10000000000000"),
+    ("dual", "--input", json.dumps(RAMP), f"--grid=0:1:{cli.MAX_GRID_POINTS + 1}"),
+    ("plot", "--input", json.dumps(CANONICAL), "--grid=0:1:10000000000000"),
+    ("example-alpha", "--alpha", "1/4", "--tol", "inf"),
+    ("example-alpha", "--alpha", "1/4", "--tol", "nan"),
+    ("example-alpha", "--alpha", "1/4", "--tol", "1e400"),
+]
+
+
+class TestInputRobustness:
+    @pytest.mark.parametrize(
+        "argv, env_tol, code",
+        [(argv, None, 2) for argv in FINITE_ONLY]
+        + [
+            (("example-alpha", "--alpha", "1/4"), "inf", 2),
+            (("example-alpha", "--alpha", "1/4"), "1e400", 2),
+            (("dual", "--input", json.dumps(RAMP), f"--grid=0:1:{cli.MAX_GRID_POINTS}"), None, 0),
+            # exact but beyond float range: arithmetic failure, not a crash
+            (("height", "--input", json.dumps(family_of(HUGE_RAMP))), None, 3),
+            (("nef-check", "--input", json.dumps(family_of(HUGE_RAMP))), None, 3),
+            (("plot", "--input", json.dumps(family_of(HUGE_RAMP)), "--grid=0:1:3"), None, 3),
+            # finite input whose height overflows: positive divergence
+            (("height", "--input", json.dumps(family_of(with_params(RAMP, intercept=-1.5e308)))), None, 4),
+        ],
+    )
+    def test_exit_code(self, capsys, monkeypatch, argv, env_tol, code):
+        if env_tol is not None:
+            monkeypatch.setenv("ADELIC_HEIGHTS_TOL", env_tol)
+        got, _, err = run(capsys, *argv)
+        assert got == code, err
+        assert code == 0 or err.startswith("error: ")
+        if argv in NON_FINITE_PARAMS:
+            assert "finite" in err  # named as such, not caught by accident
 
 
 class TestPlumbing:

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelic_heights.convex_calculus import (
@@ -35,6 +35,8 @@ from adelic_heights.convex_calculus import (
     sup_distance,
     weak_convergence_check,
 )
+
+from profiles import near_colliding_profiles, profile_through
 
 F = Fraction
 
@@ -267,6 +269,21 @@ class TestBidual:
             f = random_piecewise_affine(rng)
             assert legendre_bidual(legendre_dual(f)) == f
 
+    @given(near_colliding_profiles([F(1, 3), F(1, 2), F(2, 3)], max_inner=4))
+    @example(profile_through([F(1), F(1, 2), F(1, 2) - F(1, 10**14), F(0)], [-1, 0, 1]))
+    @example(profile_through([F(1), F(1, 3) + F(1, 10**20), F(1, 3), F(0)], [-2, 0, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_near_colliding_slopes_roundtrip_exact(self, f):
+        assert legendre_bidual(legendre_dual(f)) == f
+
+    def test_conjugate_on_domain_of_one_float(self):
+        # slopes 1/3 + 1e-20 and 1/3: the dual domain is a single float
+        f = profile_through([F(1, 3) + F(1, 10**20), F(1, 3)], [F(0)])
+        d = legendre_dual(f)
+        assert float(d.lo) == float(d.hi) and d.lo < d.hi
+        for u in (-1.0, 0.0, 1.0):
+            assert conjugate_eval(d, u) == pytest.approx(float(f(u)), abs=1e-12)
+
     def test_singular_bidual_on_grid(self):
         f = singular_ramp(F(1, 4))
         d = legendre_dual(f)
@@ -284,7 +301,7 @@ class TestMongeAmpere:
     def test_three_slope_atoms(self):
         mu = monge_ampere(three_slope())
         assert mu.atoms == ((F(0), F(1, 2)), (F(2), F(1, 2)))
-        assert mu.total_mass_exact() == 1
+        assert mu.total_mass == 1
 
     def test_singular_ramp_density(self):
         mu = monge_ampere(singular_ramp(F(1, 4)))
@@ -304,7 +321,7 @@ class TestMongeAmpere:
                 rng, slope_neg=F(rng.randint(1, 9), 2), slope_pos=F(-rng.randint(0, 4), 3)
             )
             mu = monge_ampere(f)
-            assert mu.total_mass_exact() == f.slope_neg - f.slope_pos
+            assert mu.total_mass == f.slope_neg - f.slope_pos
 
 
 class TestIntegration:
@@ -328,6 +345,16 @@ class TestIntegration:
         phi = singular_ramp(F(3, 4))
         with pytest.raises(PositiveDivergenceError):
             integrate_against((phi, ramp()), monge_ampere(phi))
+        # a unit difference against Lebesgue measure on (-inf, 0]
+        lebesgue = Measure1D((), (DensityPiece(None, 0, 1.0, 0.0),))
+        pair = (ConcaveFn.affine(0, 1), ConcaveFn.affine(0, 0))
+        for method in ("exact", "quad"):
+            with pytest.raises(PositiveDivergenceError):
+                integrate_against(pair, lebesgue, method=method)
+            assert integrate_against(pair[::-1], lebesgue, method=method) == -math.inf
+        with pytest.raises(PositiveDivergenceError):
+            integrate_measure(lambda u: 1.0, lebesgue)
+        assert integrate_measure(lambda u: -1.0, lebesgue) == -math.inf
 
     def test_quad_agrees_with_exact_on_bounded_density(self):
         box = Measure1D((), (DensityPiece(F(-3), F(-1), 1.0, 0.0),))

@@ -18,8 +18,6 @@ from adelic_heights.divisorial_core import (
     SemilinearCone,
     check_intersection_axioms,
     completion_distance,
-    cone_closure_contains,
-    cone_contains,
     d_b,
     extend_intersection,
     leq,
@@ -54,46 +52,46 @@ vec2 = st.tuples(rational, rational).map(V)
 
 class TestCones:
     def test_zero_in_every_cone(self):
-        assert cone_contains(standard_cone(), V([0, 0]))
-        assert cone_contains(half_open_cone(), V([0, 0]))
+        assert standard_cone().contains(V([0, 0]))
+        assert half_open_cone().contains(V([0, 0]))
 
     def test_standard_membership(self):
         c = standard_cone()
-        assert cone_contains(c, V([1, 2]))
-        assert not cone_contains(c, V([-1, 2]))
-        assert not cone_contains(c, V([F(1, 3), F(-1, 7)]))
+        assert c.contains(V([1, 2]))
+        assert not c.contains(V([-1, 2]))
+        assert not c.contains(V([F(1, 3), F(-1, 7)]))
 
     def test_generated_cone_membership(self):
         # hull of (1,2) and (2,1); interior, boundary, and outside points
         c = SemilinearCone.from_generators([V([1, 2]), V([2, 1])], 2)
-        assert cone_contains(c, V([1, 1]))
-        assert cone_contains(c, V([3, 3]))
-        assert cone_contains(c, V([1, 2]))
-        assert cone_contains(c, V([2, 1]))
-        assert not cone_contains(c, V([1, 3]))
-        assert not cone_contains(c, V([3, 1]))
-        assert not cone_contains(c, V([-1, -1]))
+        assert c.contains(V([1, 1]))
+        assert c.contains(V([3, 3]))
+        assert c.contains(V([1, 2]))
+        assert c.contains(V([2, 1]))
+        assert not c.contains(V([1, 3]))
+        assert not c.contains(V([3, 1]))
+        assert not c.contains(V([-1, -1]))
 
     def test_generated_cone_halfplane_and_full(self):
         half = SemilinearCone.from_generators([V([1, 0]), V([-1, 0]), V([0, 1])], 2)
-        assert cone_contains(half, V([5, 0]))
-        assert cone_contains(half, V([-5, 0]))
-        assert cone_contains(half, V([0, 1]))
-        assert not cone_contains(half, V([0, -1]))
+        assert half.contains(V([5, 0]))
+        assert half.contains(V([-5, 0]))
+        assert half.contains(V([0, 1]))
+        assert not half.contains(V([0, -1]))
         full = SemilinearCone.from_generators(
             [V([1, 0]), V([-1, 1]), V([-1, -1])], 2
         )
         for p in [V([7, -3]), V([-2, 5]), V([0, -1])]:
-            assert cone_contains(full, p)
+            assert full.contains(p)
 
     def test_generated_ray_and_line(self):
         ray = SemilinearCone.from_generators([V([2, 4])], 2)
-        assert cone_contains(ray, V([1, 2]))
-        assert not cone_contains(ray, V([-1, -2]))
-        assert not cone_contains(ray, V([1, 3]))
+        assert ray.contains(V([1, 2]))
+        assert not ray.contains(V([-1, -2]))
+        assert not ray.contains(V([1, 3]))
         line = SemilinearCone.from_generators([V([1, 1]), V([-1, -1])], 2)
-        assert cone_contains(line, V([-3, -3]))
-        assert not cone_contains(line, V([1, 0]))
+        assert line.contains(V([-3, -3]))
+        assert not line.contains(V([1, 0]))
 
     def test_non_cone_union_rejected(self):
         q2 = Cell((Constraint((-1, 0)), Constraint((0, 1))))
@@ -103,16 +101,16 @@ class TestCones:
 
     def test_closure_of_half_open_cone(self):
         c = half_open_cone()
-        assert not cone_contains(c, V([0, -1]))
-        assert cone_closure_contains(c, V([0, -1]))
-        assert not cone_closure_contains(c, V([-1, 0]))
+        assert not c.contains(V([0, -1]))
+        assert c.closure().contains(V([0, -1]))
+        assert not c.closure().contains(V([-1, 0]))
 
     def test_closure_drops_empty_cells(self):
         empty = Cell((Constraint((1, 0), strict=True), Constraint((-1, 0), strict=True)))
         c = SemilinearCone([empty, Cell((Constraint((1, 0)), Constraint((0, 1))))], 2)
         # the empty cell must not resurrect the x2-axis in the closure
-        assert not cone_closure_contains(c, V([0, -1]))
-        assert cone_closure_contains(c, V([1, 0]))
+        assert not c.closure().contains(V([0, -1]))
+        assert c.closure().contains(V([1, 0]))
 
 
 class TestSpace:
@@ -193,7 +191,7 @@ class TestClosureWitness:
         witnesses = [V([1, 0]), V([0, 1]), V([1, 1])]
         ns = [1, 10, 100, 1000, 10**4, 10**5, 10**6]
         for x in [V([0, -1]), V([0, 5]), V([1, -7]), V([-1, 0]), V([F(-1, 2), 3])]:
-            assert cone_closure_contains(cone, x) == self.witness_criterion(
+            assert cone.closure().contains(x) == self.witness_criterion(
                 cone, x, witnesses, ns
             )
 
@@ -203,8 +201,8 @@ class TestClosureWitness:
         ns = [1, 10, 100, 1000, 10**4, 10**5, 10**6]
         for x in [V([1, 1]), V([1, 2]), V([0, 1]), V([-1, 1])]:
             # closed cone: closure membership is plain membership
-            assert cone_closure_contains(cone, x) == cone.contains(x)
-            assert cone_closure_contains(cone, x) == self.witness_criterion(
+            assert cone.closure().contains(x) == cone.contains(x)
+            assert cone.closure().contains(x) == self.witness_criterion(
                 cone, x, gens + [gens[0] + gens[1]], ns
             )
 
