@@ -211,7 +211,7 @@ class DualFn:
 def _integrate_power_term(t: PowerTerm, a: float, b: float) -> float:
     """Integral of coeff*(center-m)**exponent over [a, b], center >= b."""
     c, e, ctr = t.coeff, t.exponent, float(t.center)
-    if abs(c) < 1e-300:
+    if c == 0.0:
         return 0.0
     da, db = ctr - a, ctr - b
     if db < 0:

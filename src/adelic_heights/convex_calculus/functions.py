@@ -22,15 +22,13 @@ from ..divisorial_core.vectors import _num, _to_fraction
 
 Number = Union[int, Fraction, float]
 
-# Tolerances for the float arithmetic of singular (alpha) terms only:
-# bisection width for roots of power expressions, and the size below which
-# a power-term coefficient left over from cancellation counts as zero.
+# Bisection width for roots of power expressions: the float arithmetic of
+# singular (alpha) terms only.
 _REL_TOL = 1e-12
-_COEFF_TOL = 1e-14
 
 
-def _close(a: float, b: float, atol: float = 1e-8, rtol: float = 1e-8) -> bool:
-    return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-8 + 1e-8 * max(abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -101,28 +99,23 @@ Piece = Union[AffinePiece, AlphaPiece]
 
 @dataclass
 class _Expr:
+    """Power terms have nonzero coefficients and distinct exponents."""
+
     slope: Number
     intercept: Number
     terms: Tuple[Tuple[float, float], ...]  # (coeff, exponent) of (1-u)**e
 
     @staticmethod
     def difference(p: Piece, q: Piece) -> "_Expr":
-        terms: List[Tuple[float, float]] = []
-        for sgn, piece in ((1.0, p), (-1.0, q)):
-            t = piece.alpha_term
-            if t is not None:
-                terms.append((sgn * t[0], t[1]))
-        # cancel exactly matching exponents (same alpha on both sides)
-        merged: List[Tuple[float, float]] = []
-        for c, e in terms:
-            for i, (c2, e2) in enumerate(merged):
-                if e == e2:
-                    merged[i] = (c2 + c, e2)
-                    break
-            else:
-                merged.append((c, e))
-        merged = [(c, e) for c, e in merged if abs(c) > _COEFF_TOL]
-        return _Expr(p.slope - q.slope, p.intercept - q.intercept, tuple(merged))
+        tp, tq = p.alpha_term, q.alpha_term
+        terms: Tuple[Tuple[float, float], ...] = ()
+        # the coefficient is pinned to 1/alpha, so the same alpha on both
+        # sides cancels exactly
+        if tp != tq:
+            terms = tuple(
+                (sgn * t[0], t[1]) for sgn, t in ((1.0, tp), (-1.0, tq)) if t is not None
+            )
+        return _Expr(p.slope - q.slope, p.intercept - q.intercept, terms)
 
     def is_exact(self) -> bool:
         return not self.terms and isinstance(self.slope, Fraction) and isinstance(
@@ -155,13 +148,9 @@ class _Expr:
     def sign_at_minus_inf(self) -> int:
         if self.slope != 0:
             return -1 if self.slope > 0 else 1
-        pos_terms = [(c, e) for c, e in self.terms if e > 0]
-        if pos_terms:
-            # sum coefficients sharing the leading exponent
-            e_lead = max(t[1] for t in pos_terms)
-            c_lead = sum(c for c, e in pos_terms if e == e_lead)
-            if abs(c_lead) > _COEFF_TOL:
-                return 1 if c_lead > 0 else -1
+        e_lead, c_lead = max(((e, c) for c, e in self.terms), default=(0.0, 0.0))
+        if e_lead > 0:
+            return 1 if c_lead > 0 else -1
         lim = self.intercept + sum(c for c, e in self.terms if e == 0.0)
         if lim > 0:
             return 1
@@ -171,9 +160,7 @@ class _Expr:
 
     def limit_at_minus_inf(self) -> float:
         """Finite limit when slope and positive-exponent terms vanish."""
-        if self.slope != 0 or any(
-            e > 0 and abs(c) > _COEFF_TOL for c, e in self.terms
-        ):
+        if self.slope != 0 or any(e > 0 for _, e in self.terms):
             raise ValueError("expression diverges toward -infinity")
         return float(self.intercept) + sum(c for c, e in self.terms if e == 0.0)
 
@@ -412,9 +399,6 @@ class ConcaveFn:
         i = bisect.bisect_left(self.breakpoints, _to_fraction(u))
         return self.pieces[i]
 
-    def piece_index_at(self, u) -> int:
-        return bisect.bisect_left(self.breakpoints, _to_fraction(u))
-
     def intervals(self) -> List[Tuple[Optional[Fraction], Optional[Fraction], Piece]]:
         lo: Optional[Fraction] = None
         out = []
@@ -437,15 +421,6 @@ class ConcaveFn:
         ):
             raise ValueError("exact evaluation needs rational coefficients")
         return piece.slope * u + piece.intercept
-
-    def derivative_left(self, t) -> float:
-        # bisect_left puts a breakpoint with the piece ending there
-        return self.pieces[self.piece_index_at(t)].derivative(t)
-
-    def derivative_right(self, t) -> float:
-        t = _to_fraction(t)
-        i = bisect.bisect_right(self.breakpoints, t)
-        return self.pieces[i].derivative(t)
 
     def shift(self, c) -> "ConcaveFn":
         return ConcaveFn(self.breakpoints, [p.shifted(c) for p in self.pieces])
@@ -526,7 +501,7 @@ def bounded_above(f: ConcaveFn, g: ConcaveFn) -> bool:
         return False
     if f.slope_neg == g.slope_neg:
         d = _Expr.difference(f.pieces[0], g.pieces[0])
-        return not any(e > 0 and c > _COEFF_TOL for c, e in d.terms)
+        return not any(e > 0 and c > 0 for c, e in d.terms)
     return True
 
 
@@ -542,7 +517,7 @@ def sup_distance(f: ConcaveFn, g: ConcaveFn) -> float:
         probe = _probe_point(lo, hi)
         d = _Expr.difference(f.piece_at(probe), g.piece_at(probe))
         if lo is None:
-            if any(e > 0 and abs(c) > _COEFF_TOL for c, e in d.terms):
+            if any(e > 0 for _, e in d.terms):
                 return math.inf
             best = max(best, abs(d.limit_at_minus_inf()))
         if hi is None:

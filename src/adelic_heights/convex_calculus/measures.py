@@ -1,9 +1,10 @@
 """Measures on the line with atoms plus power-law densities, the
 second-derivative measure of a concave function, and integration of
-piece differences with exact divergence classification.
+piece differences against it, in closed form or by quadrature.
 
 Divergence convention: an integral is a finite value or -inf; an integral
-that diverges to +inf raises PositiveDivergenceError.
+that diverges to +inf raises PositiveDivergenceError. In closed form the
+leading divergent exponent decides which.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from scipy.integrate import quad
 
@@ -23,7 +24,6 @@ from .functions import (
     Number,
     _Expr,
     _probe_point,
-    _COEFF_TOL,
 )
 
 
@@ -66,42 +66,30 @@ def _integrate_terms_in_t(
 ) -> float:
     """Integral over u in [lo, hi] of sum coeff*(1-u)**e, via t = 1-u.
 
-    When the t-integral up to +infinity has a nonvanishing term with
-    exponent >= -1, the leading such exponent decides: -inf, or
-    PositiveDivergenceError.
+    When lo is -inf, the terms with exponent >= -1 diverge. Their
+    coefficients are summed per exponent, and the leading exponent whose
+    sum is nonzero decides: a negative sum gives -inf, a positive one
+    raises PositiveDivergenceError. A coefficient is zero only when it is
+    exactly 0.0.
     """
     t0 = 1.0 - float(hi)
     if lo is None:
         convergent = 0.0
-        divergent: List[Tuple[float, float]] = []
+        divergent: Dict[float, float] = {}
         for c, e in terms:
-            if abs(c) <= _COEFF_TOL:
-                continue
             if e < -1.0:
                 convergent += -c * t0 ** (e + 1.0) / (e + 1.0)
             else:
-                divergent.append((c, e))
-        if divergent:
-            # group by exponent, leading group decides the sign
-            divergent.sort(key=lambda t: -t[1])
-            i = 0
-            while i < len(divergent):
-                e_lead = divergent[i][1]
-                csum = sum(c for c, e in divergent if e == e_lead)
-                if abs(csum) > _COEFF_TOL:
-                    if csum > 0:
-                        raise PositiveDivergenceError(
-                            "integral diverges to +infinity"
-                        )
-                    return -math.inf
-                i += sum(1 for _, e in divergent if e == e_lead)
-            # all divergent groups cancel exactly
+                divergent[e] = divergent.get(e, 0.0) + c
+        for e in sorted(divergent, reverse=True):
+            if divergent[e] > 0:
+                raise PositiveDivergenceError("integral diverges to +infinity")
+            if divergent[e] < 0:
+                return -math.inf
         return convergent
     t1 = 1.0 - float(lo)
     total = 0.0
     for c, e in terms:
-        if abs(c) <= _COEFF_TOL:
-            continue
         if e == -1.0:
             total += c * (math.log(t1) - math.log(t0))
         else:
@@ -158,8 +146,9 @@ def monge_ampere(f: ConcaveFn) -> Measure1D:
 
     Every breakpoint carries an atom equal to its slope gap (zero gaps are
     dropped); each singular piece contributes the density
-    (1-alpha)*(1-u)**(alpha-2) on its interval. The total mass always
-    equals slope_neg - slope_pos.
+    (1-alpha)*(1-u)**(alpha-2) on its interval. The total mass equals
+    slope_neg - slope_pos: exactly without densities, up to float rounding
+    of alpha - 2 and 1 - alpha with them.
     """
     atoms: List[Tuple[Fraction, Number]] = []
     for i, t in enumerate(f.breakpoints):
@@ -196,17 +185,17 @@ def integrate_against(
     pair: Tuple[ConcaveFn, ConcaveFn],
     mu: Measure1D,
     tol: float = 1e-9,
-    method: str = "auto",
+    method: str = "exact",
 ) -> float:
     """Integral of f - g against mu.
 
-    Atoms are summed directly. Density pieces integrate in closed form
-    through the power catalog (method "auto"/"exact"); method "quad" uses
-    adaptive quadrature on a doubling sequence of windows instead. A
-    negatively divergent integral returns -inf; a positively divergent one
-    raises PositiveDivergenceError.
+    Atoms are summed directly. With method "exact", density pieces
+    integrate in closed form through the power catalog; with method
+    "quad", by adaptive quadrature on a doubling sequence of windows (tol
+    bounds its error). A negatively divergent integral returns -inf; a
+    positively divergent one raises PositiveDivergenceError.
     """
-    if method not in ("auto", "exact", "quad"):
+    if method not in ("exact", "quad"):
         raise ValueError(f"unknown method {method!r}")
     f, g = pair
     total = 0.0
@@ -316,14 +305,13 @@ def weak_convergence_check(
     mu: Measure1D,
     test_fns: Sequence[Callable[[float], float]],
     tol: float = 1e-3,
-    quad_tol: float = 1e-9,
 ) -> WeakConvergenceReport:
     """Gap report for weak convergence: vague gaps against the test
     functions together with total-mass gaps (weak = vague + masses)."""
     report = WeakConvergenceReport(tol=tol)
-    limits = [integrate_measure(fn, mu, quad_tol) for fn in test_fns]
+    limits = [integrate_measure(fn, mu) for fn in test_fns]
     for fn, lim in zip(test_fns, limits):
-        gaps = [abs(integrate_measure(fn, m, quad_tol) - lim) for m in mu_seq]
+        gaps = [abs(integrate_measure(fn, m) - lim) for m in mu_seq]
         report.fn_gaps.append(gaps)
     mass = mu.total_mass
     report.mass_gaps = [abs(m.total_mass - mass) for m in mu_seq]

@@ -49,9 +49,6 @@ class Cell:
     def relaxed(self) -> "Cell":
         return Cell(tuple(Constraint(c.row, strict=False) for c in self.constraints))
 
-    def has_strict(self) -> bool:
-        return any(c.strict for c in self.constraints)
-
 
 # ---------------------------------------------------------------------------
 # Exact feasibility of linear systems (Fourier-Motzkin elimination).
@@ -247,8 +244,8 @@ class SemilinearCone:
         ]
         return SemilinearCone(kept, self.ambient_dim, check=False)
 
-    def sample_points(self, per_cell: int = 8) -> list:
-        """Deterministic small-coordinate members, a few per cell."""
+    def sample_points(self) -> list:
+        """Deterministic small-coordinate members, up to eight per cell."""
         found = []
         seen = set()
         for cell in self.cells:
@@ -260,7 +257,7 @@ class SemilinearCone:
                         seen.add(v.coords)
                         found.append(v)
                     count += 1
-                    if count >= per_cell:
+                    if count >= 8:
                         break
         return found
 
@@ -407,33 +404,28 @@ class DivisorialSpace:
     certify it.
     """
 
-    def __init__(self, ambient_dim: int, order_cone: SemilinearCone, check: bool = True):
+    def __init__(self, ambient_dim: int, order_cone: SemilinearCone):
         if order_cone.ambient_dim != ambient_dim:
             raise ValueError("cone dimension does not match the space")
         self.ambient_dim = ambient_dim
         self.order_cone = order_cone
-        if check:
-            self._check_pointed()
-            self._check_spans()
+        self._check_pointed()
+        self._check_spans()
 
     def _check_pointed(self) -> None:
-        dim = self.ambient_dim
         for c1 in self.order_cone.cells:
             for c2 in self.order_cone.cells:
-                rows = _cell_rows(c1) + [
-                    (tuple(-a for a in c.row), Fraction(0), c.strict)
+                negated = tuple(
+                    Constraint(tuple(-a for a in c.row), c.strict)
                     for c in c2.constraints
-                ]
-                for i in range(dim):
-                    for s in (1, -1):
-                        unit = tuple(
-                            Fraction(s) if j == i else Fraction(0) for j in range(dim)
-                        )
-                        if _fm_feasible(rows + [(unit, Fraction(-1), False)], dim):
-                            raise ValueError(
-                                "order cone is not pointed: it meets its negative "
-                                "in a nonzero vector"
-                            )
+                )
+                if cell_has_nonzero_point(
+                    Cell(c1.constraints + negated), self.ambient_dim
+                ):
+                    raise ValueError(
+                        "order cone is not pointed: it meets its negative "
+                        "in a nonzero vector"
+                    )
 
     def _check_spans(self) -> None:
         pts = list(self.order_cone.generators) + self.order_cone.sample_points()

@@ -23,6 +23,7 @@ from adelic_heights.adelic_curve import (
     product_formula_check,
     roof,
 )
+from adelic_heights.cli import alpha_profile
 from adelic_heights.convex_calculus.duality import (
     conjugate_eval,
     dual_sup_distance,
@@ -32,7 +33,6 @@ from adelic_heights.convex_calculus.duality import (
 from adelic_heights.convex_calculus.energy import local_energy, mixed_local_energy
 from adelic_heights.convex_calculus.functions import (
     AffinePiece,
-    AlphaPiece,
     ConcaveFn,
     cutoff,
     sup_distance,
@@ -71,10 +71,6 @@ def hyperplane_divisor() -> ToricCompactifiedDivisor:
 
 def canonical_family() -> AdelicFamily:
     return AdelicFamily(hyperplane_divisor())
-
-
-def alpha_profile(alpha: F) -> ConcaveFn:
-    return ConcaveFn([0], [AlphaPiece(alpha, 1, 0), AffinePiece(0, 1 / alpha)])
 
 
 def alpha_family(alpha: F) -> AdelicFamily:

@@ -28,10 +28,10 @@ from adelic_heights.adelic_curve import (
     support,
     twist,
 )
+from adelic_heights.cli import alpha_profile
 from adelic_heights.convex_calculus.duality import legendre_dual
 from adelic_heights.convex_calculus.functions import (
     AffinePiece,
-    AlphaPiece,
     ConcaveFn,
 )
 
@@ -46,11 +46,6 @@ def hyperplane_divisor() -> ToricCompactifiedDivisor:
 
 def canonical_family() -> AdelicFamily:
     return AdelicFamily(hyperplane_divisor())
-
-
-def alpha_profile(alpha) -> ConcaveFn:
-    a = F(alpha)
-    return ConcaveFn([0], [AlphaPiece(a, 1, 0), AffinePiece(0, 1 / a)])
 
 
 def alpha_family(alpha, place=Place.prime(2)) -> AdelicFamily:
@@ -342,7 +337,7 @@ class TestHeights:
             )
 
     def test_alpha_divergent_heights(self):
-        for alpha in (F(1, 2), F(3, 4)):
+        for alpha in (F(1, 2), F(3, 4), F(10**14 - 1, 10**14)):
             fam = alpha_family(alpha)
             assert global_height(fam) == -math.inf
             assert extended_height(canonical_family(), fam) == -math.inf

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -151,8 +153,9 @@ class TestExampleAlpha:
         assert payload["energy_route"] == pytest.approx(-10, abs=1e-6)
         assert payload["gap"] <= 1e-6
 
-    def test_divergent(self, capsys):
-        payload = run_json(capsys, "example-alpha", "--alpha", "3/4")
+    @pytest.mark.parametrize("alpha", ["3/4", "99999999999999/100000000000000"])
+    def test_divergent(self, capsys, alpha):
+        payload = run_json(capsys, "example-alpha", "--alpha", alpha)
         assert payload["closed_form"] == "-inf"
         assert payload["roof_route"] == "-inf"
         assert payload["energy_route"] == "-inf"
@@ -561,10 +564,14 @@ class TestPlumbing:
         assert "without bound" in err
 
     def test_module_entry_point(self):
+        # the child does not inherit sys.path: point it at this package's source
+        src_root = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "adelic_heights.cli", "product-formula", "7"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"] == "0 (exact)"

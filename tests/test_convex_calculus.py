@@ -312,6 +312,12 @@ class TestMongeAmpere:
         assert abs(d.exponent - (-1.75)) < 1e-15
         assert abs(mu.total_mass - 1.0) < 1e-12
 
+    def test_density_mass_near_alpha_one(self):
+        # the density coefficient 1 - alpha is about 1e-14; float(alpha) - 2
+        # limits the accuracy of the exponent this close to 1
+        mu = monge_ampere(singular_ramp(F(10**14 - 1, 10**14)))
+        assert abs(mu.total_mass - 1.0) < 1e-3
+
     def test_mass_equals_slope_drop(self):
         import random
 
