@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Tuple, Union
 
 from ..convex_calculus.duality import DualFn, legendre_dual
-from ..convex_calculus.energy import local_energy
+from ..convex_calculus.energy import _require_comparable, local_energy
 from ..divisorial_core.vectors import _to_fraction
 from .family import AdelicFamily, ToricCompactifiedDivisor
 from .places import LogLinear, Place, _valuation, log_abs, support
@@ -152,48 +152,54 @@ def boundary_height(family: AdelicFamily, point: str) -> Real:
     raise ValueError("boundary point must be 'zero' or 'infinity'")
 
 
+def _differing_places(ref: AdelicFamily, sing: AdelicFamily):
+    if ref.divisor != sing.divisor:
+        raise ValueError("families must share the divisor")
+    for place in sorted(set(ref.places()) | set(sing.places())):
+        psi, phi = ref.psi_at(place), sing.psi_at(place)
+        if psi != phi:
+            yield place, psi, phi
+
+
+def _at_place(place: Place, fn, psi, phi):
+    """fn(psi, phi), with the place named in any ValueError it raises."""
+    try:
+        return fn(psi, phi)
+    except ValueError as exc:
+        raise type(exc)(f"at {place}: {exc}") from exc
+
+
 def place_energies(
-    ref: AdelicFamily, sing: AdelicFamily, tol: float = 1e-9
+    ref: AdelicFamily, sing: AdelicFamily
 ) -> Iterator[Tuple[Place, float]]:
     """(place, local energy) at each place where the two profiles differ,
     in canonical order; each energy is finite or -inf.
 
     The second family must be at most as singular as the first allows:
     at every place sup(psi_ref - psi_sing) must be finite."""
-    if ref.divisor != sing.divisor:
-        raise ValueError("families must share the divisor")
-    for place in sorted(set(ref.places()) | set(sing.places())):
-        psi, phi = ref.psi_at(place), sing.psi_at(place)
-        if psi == phi:
-            continue
-        try:
-            term = local_energy(psi, phi, tol=tol)
-        except ValueError as exc:
-            raise type(exc)(f"at {place}: {exc}") from exc
-        yield place, term
+    for place, psi, phi in _differing_places(ref, sing):
+        yield place, _at_place(place, local_energy, psi, phi)
 
 
-def global_energy(
-    ref: AdelicFamily, sing: AdelicFamily, tol: float = 1e-9
-) -> float:
-    """Sum of the place energies; stops at the first -inf."""
+def global_energy(ref: AdelicFamily, sing: AdelicFamily) -> float:
+    """Sum of the place energies, finite or -inf. Places after the first
+    -inf only have the precondition checked, so place order is irrelevant."""
     total = 0.0
-    for _, term in place_energies(ref, sing, tol):
-        if term == -math.inf:
-            return -math.inf
-        total += term
+    for place, psi, phi in _differing_places(ref, sing):
+        if total == -math.inf:
+            _at_place(place, _require_comparable, psi, phi)
+        else:
+            total += _at_place(place, local_energy, psi, phi)
     return total
 
 
-def extended_height(
-    ref: AdelicFamily, sing: AdelicFamily, tol: float = 1e-9
-) -> Real:
+def extended_height(ref: AdelicFamily, sing: AdelicFamily) -> Real:
     """Height of a possibly singular family through an energy-regularized
     reference: global_height(ref) + global_energy(ref, sing)."""
     if nef_status(ref).status not in (S_AMPLE, S_NEF_ONLY):
         raise ValueError("reference family is not arithmetically nef")
     base = global_height(ref)
-    energy = global_energy(ref, sing, tol=tol)
+    energy = global_energy(ref, sing)
     if energy == 0:
         return base
     return float(base) + energy

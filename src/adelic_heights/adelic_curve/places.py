@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from sympy import factorint, isprime
 
@@ -159,13 +159,17 @@ def log_abs(q, place: Place) -> LogLinear:
     return LogLinear({place.p: -_valuation(q, place.p)})
 
 
+def log_abs_by_place(q) -> Iterator[Tuple[Place, LogLinear]]:
+    """(place, log|q| there) at each finite place of the support, in
+    increasing order, then at infinity: every nonzero contribution."""
+    q = _to_fraction(q)
+    for place in support(q) + [Place.infinity()]:
+        yield place, log_abs(q, place)
+
+
 def product_formula_check(q) -> LogLinear:
     """Sum of log|q| over all places with nonzero contribution.
 
     Returns the exact symbolic total; it is the zero combination for every
     nonzero rational."""
-    q = _to_fraction(q)
-    total = log_abs(q, Place.infinity())
-    for place in support(q):
-        total = total + log_abs(q, place)
-    return total
+    return sum((term for _, term in log_abs_by_place(q)), LogLinear.zero())

@@ -28,7 +28,7 @@ from .adelic_curve.heights import (
     place_energies,
     roof,
 )
-from .adelic_curve.places import LogLinear, Place, log_abs, support
+from .adelic_curve.places import LogLinear, Place, log_abs_by_place
 from .convex_calculus.duality import DualFn
 from .convex_calculus.functions import AffinePiece, AlphaPiece, ConcaveFn
 from .convex_calculus.measures import (
@@ -368,7 +368,7 @@ def cmd_energy(args) -> dict:
         raise SchemaError("energy input needs reference and singular families")
     ref = decode_family(obj["reference"])
     sing = decode_family(obj["singular"])
-    terms = list(place_energies(ref, sing, tol=args.tol))
+    terms = list(place_energies(ref, sing))
     return {
         "energy": encode_number(sum((e for _, e in terms), 0.0)),
         "per_place": [
@@ -418,17 +418,14 @@ def cmd_product_formula(args) -> dict:
     q = _decode_finite(args.rational)
     if q == 0:
         raise ValueError("the product formula needs a nonzero rational")
-    contributions = []
-    total = LogLinear.zero()
-    for place in support(q) + [Place.infinity()]:
-        term = log_abs(q, place)
-        total = total + term
-        contributions.append(
-            {"place": encode_place(place), "log_abs": encode_log_linear(term)}
-        )
+    terms = list(log_abs_by_place(q))
+    total = sum((term for _, term in terms), LogLinear.zero())
     return {
         "q": encode_number(q),
-        "contributions": contributions,
+        "contributions": [
+            {"place": encode_place(place), "log_abs": encode_log_linear(term)}
+            for place, term in terms
+        ],
         "total": encode_log_linear(total),
         "result": "0 (exact)" if total.is_zero() else "nonzero",
     }
@@ -450,7 +447,7 @@ def cmd_example_alpha(args) -> dict:
     else:
         closed = -math.inf
     roof_route = global_height(singular)
-    energy_route = extended_height(reference, singular, tol=args.tol)
+    energy_route = extended_height(reference, singular)
     if roof_route == -math.inf and energy_route == -math.inf:
         gap = 0.0
     else:
@@ -564,14 +561,6 @@ def write_output(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("ADELIC_HEIGHTS_TOL", "1e-9")
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise SchemaError(f"ADELIC_HEIGHTS_TOL is not a number: {raw!r}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adelic-heights",
@@ -583,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("--input", help="path to a JSON file, or inline JSON")
-        p.add_argument("--tol", type=float, default=None, help="tolerance")
         p.add_argument(
             "--format", choices=("json", "csv"), default="json", dest="fmt"
         )
@@ -631,10 +619,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is None:
-            args.tol = _default_tol()
-        if not 0 < args.tol < math.inf:
-            raise SchemaError("tolerance must be positive and finite")
         payload = HANDLERS[args.command](args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

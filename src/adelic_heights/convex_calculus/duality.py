@@ -236,7 +236,8 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
     Affine pieces collapse to single slope values, breakpoints open up
     affine dual pieces (slope = breakpoint, intercept = -f there), and
     each singular piece contributes the profile
-    (m - s) - c + (1 - 1/alpha)*(s - m)**(alpha/(alpha-1)).
+    (m - s) - c + (1 - 1/alpha)*(s - m)**(alpha/(alpha-1)), with 1 - alpha
+    taken on the exact alpha (nonzero even where float(alpha) is 1.0).
     """
     lo, hi = f.slope_pos, f.slope_neg
     if lo == hi:
@@ -256,12 +257,12 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
                 cur = d_hi
         if isinstance(piece, AlphaPiece):
             left = f.breakpoints[i - 1] if i >= 1 else None
-            s, c, alpha = piece.slope, piece.intercept, float(piece.alpha)
+            s, c = piece.slope, piece.intercept
             d_left: Number = s if left is None else piece.derivative(left)
             if _above(d_left, cur):
-                term = PowerTerm(
-                    1.0 - 1.0 / alpha, alpha / (alpha - 1.0), s
-                )
+                n, d = piece.alpha.as_integer_ratio()
+                alpha, b = n / d, (d - n) / d  # float(alpha), float(1 - alpha)
+                term = PowerTerm(-b / alpha, -alpha / b, s)
                 entries.append((d_left, DualPiece(1, -(s + c), (term,))))
                 cur = d_left
         else:

@@ -15,12 +15,12 @@ def _require_comparable(psi: ConcaveFn, phi: ConcaveFn) -> None:
         )
 
 
-def local_energy(psi: ConcaveFn, phi: ConcaveFn, tol: float = 1e-9) -> float:
+def local_energy(psi: ConcaveFn, phi: ConcaveFn) -> float:
     """Energy of phi relative to psi: the integral of psi - phi against
     the sum of both curvature measures. Finite or -inf."""
     _require_comparable(psi, phi)
-    a = integrate_against((psi, phi), monge_ampere(phi), tol)
-    b = integrate_against((psi, phi), monge_ampere(psi), tol)
+    a = integrate_against((psi, phi), monge_ampere(phi))
+    b = integrate_against((psi, phi), monge_ampere(psi))
     return a + b
 
 
@@ -29,7 +29,6 @@ def mixed_local_energy(
     psi1: ConcaveFn,
     phi0: ConcaveFn,
     phi1: ConcaveFn,
-    tol: float = 1e-9,
 ) -> float:
     """Mixed energy of the pair (phi0, phi1) against references (psi0, psi1):
 
@@ -40,6 +39,6 @@ def mixed_local_energy(
     """
     _require_comparable(psi0, phi0)
     _require_comparable(psi1, phi1)
-    a = integrate_against((psi0, phi0), monge_ampere(psi1), tol)
-    b = integrate_against((psi1, phi1), monge_ampere(phi0), tol)
+    a = integrate_against((psi0, phi0), monge_ampere(psi1))
+    b = integrate_against((psi1, phi1), monge_ampere(phi0))
     return a + b

@@ -117,11 +117,6 @@ class _Expr:
             )
         return _Expr(p.slope - q.slope, p.intercept - q.intercept, terms)
 
-    def is_exact(self) -> bool:
-        return not self.terms and isinstance(self.slope, Fraction) and isinstance(
-            self.intercept, Fraction
-        )
-
     def is_zero(self) -> bool:
         return not self.terms and self.slope == 0 and self.intercept == 0
 
@@ -262,8 +257,11 @@ def _critical_points(expr: _Expr, lo: Optional[float], hi: float) -> List[float]
         if k1 != 0 and k2 != 0:
             rhs = -k2 / k1
             if rhs > 0:
-                t = rhs ** (1.0 / (e1 - e2)) if e1 != e2 else None
-                if t is not None and t >= 1.0:
+                try:
+                    t = rhs ** (1.0 / (e1 - e2)) if e1 != e2 else 0.0
+                except OverflowError:
+                    t = 0.0  # the balance point lies beyond float range: no split
+                if t >= 1.0:
                     split = 1.0 - t
         segs: List[Tuple[Optional[float], float]] = []
         if split is not None and (lo is None or split > lo) and split < hi:

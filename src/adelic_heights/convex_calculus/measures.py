@@ -26,6 +26,8 @@ from .functions import (
     _probe_point,
 )
 
+QUAD_TOL = 1e-9  # absolute accuracy of adaptive quadrature
+
 
 class PositiveDivergenceError(ValueError):
     """An integral diverges to +infinity; no value can be returned."""
@@ -146,9 +148,9 @@ def monge_ampere(f: ConcaveFn) -> Measure1D:
 
     Every breakpoint carries an atom equal to its slope gap (zero gaps are
     dropped); each singular piece contributes the density
-    (1-alpha)*(1-u)**(alpha-2) on its interval. The total mass equals
-    slope_neg - slope_pos: exactly without densities, up to float rounding
-    of alpha - 2 and 1 - alpha with them.
+    (1-alpha)*(1-u)**(alpha-2) on its interval, 1 - alpha taken on the
+    exact alpha. The total mass equals slope_neg - slope_pos: exactly
+    without densities, up to float rounding of alpha - 2 and 1 - alpha.
     """
     atoms: List[Tuple[Fraction, Number]] = []
     for i, t in enumerate(f.breakpoints):
@@ -168,8 +170,9 @@ def monge_ampere(f: ConcaveFn) -> Measure1D:
     densities: List[DensityPiece] = []
     for lo, hi, piece in f.intervals():
         if isinstance(piece, AlphaPiece):
-            a = float(piece.alpha)
-            densities.append(DensityPiece(lo, hi, 1.0 - a, a - 2.0))
+            n, d = piece.alpha.as_integer_ratio()
+            b = (d - n) / d  # float(1 - alpha)
+            densities.append(DensityPiece(lo, hi, b, -1.0 - b))
     return Measure1D(tuple(atoms), tuple(densities))
 
 
@@ -184,16 +187,15 @@ def _subdivide(
 def integrate_against(
     pair: Tuple[ConcaveFn, ConcaveFn],
     mu: Measure1D,
-    tol: float = 1e-9,
     method: str = "exact",
 ) -> float:
     """Integral of f - g against mu.
 
     Atoms are summed directly. With method "exact", density pieces
     integrate in closed form through the power catalog; with method
-    "quad", by adaptive quadrature on a doubling sequence of windows (tol
-    bounds its error). A negatively divergent integral returns -inf; a
-    positively divergent one raises PositiveDivergenceError.
+    "quad", by adaptive quadrature on a doubling sequence of windows
+    (QUAD_TOL bounds its error). A negatively divergent integral returns
+    -inf; a positively divergent one raises PositiveDivergenceError.
     """
     if method not in ("exact", "quad"):
         raise ValueError(f"unknown method {method!r}")
@@ -208,7 +210,7 @@ def integrate_against(
             expr = _Expr.difference(f.piece_at(probe), g.piece_at(probe))
             sub = DensityPiece(lo, hi, piece.coeff, piece.exponent)
             if method == "quad":
-                total += _quad_piece(expr.value, sub, tol)
+                total += _quad_piece(expr.value, sub, QUAD_TOL)
             else:
                 total += _integrate_terms_in_t(
                     _expr_times_density_terms(expr, sub), lo, hi
@@ -270,7 +272,7 @@ def _quad_piece(fn: Callable[[float], float], piece: DensityPiece, tol: float) -
     return total
 
 
-def integrate_measure(fn: Callable[[float], float], mu: Measure1D, tol: float = 1e-9) -> float:
+def integrate_measure(fn: Callable[[float], float], mu: Measure1D, tol: float = QUAD_TOL) -> float:
     """Integral of an arbitrary (bounded, continuous) function against mu:
     finite, -inf, or PositiveDivergenceError like integrate_against."""
     total = 0.0

@@ -337,7 +337,7 @@ class TestHeights:
             )
 
     def test_alpha_divergent_heights(self):
-        for alpha in (F(1, 2), F(3, 4), F(10**14 - 1, 10**14)):
+        for alpha in (F(1, 2), F(3, 4), F(10**14 - 1, 10**14), F(10**17 - 1, 10**17)):
             fam = alpha_family(alpha)
             assert global_height(fam) == -math.inf
             assert extended_height(canonical_family(), fam) == -math.inf
@@ -374,6 +374,13 @@ class TestEnergy:
     def test_precondition_error_names_place(self):
         with pytest.raises(ValueError, match=r"Place\(2\)"):
             global_energy(alpha_family(F(1, 4)), canonical_family())
+        # one place diverges, the other breaks the precondition: the
+        # error is raised whichever place comes first
+        for ref_at, sing_at in ((3, 2), (2, 3)):
+            ref = alpha_family(F(1, 4), Place.prime(ref_at))
+            sing = alpha_family(F(3, 4), Place.prime(sing_at))
+            with pytest.raises(ValueError, match=rf"Place\({ref_at}\)"):
+                global_energy(ref, sing)
 
     def test_additivity_over_places(self):
         rng = random.Random(29)

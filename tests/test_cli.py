@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -153,7 +155,10 @@ class TestExampleAlpha:
         assert payload["energy_route"] == pytest.approx(-10, abs=1e-6)
         assert payload["gap"] <= 1e-6
 
-    @pytest.mark.parametrize("alpha", ["3/4", "99999999999999/100000000000000"])
+    @pytest.mark.parametrize(
+        "alpha",
+        ["3/4", "99999999999999/100000000000000", "99999999999999999/100000000000000000"],
+    )
     def test_divergent(self, capsys, alpha):
         payload = run_json(capsys, "example-alpha", "--alpha", alpha)
         assert payload["closed_form"] == "-inf"
@@ -505,31 +510,27 @@ FINITE_ONLY = NON_FINITE_PARAMS + [
     ("dual", "--input", json.dumps(RAMP), "--grid=0:1:10000000000000"),
     ("dual", "--input", json.dumps(RAMP), f"--grid=0:1:{cli.MAX_GRID_POINTS + 1}"),
     ("plot", "--input", json.dumps(CANONICAL), "--grid=0:1:10000000000000"),
-    ("example-alpha", "--alpha", "1/4", "--tol", "inf"),
-    ("example-alpha", "--alpha", "1/4", "--tol", "nan"),
-    ("example-alpha", "--alpha", "1/4", "--tol", "1e400"),
+]
+# (case number, argv, exit code). The ids keep the form argv<case>-None-<code>
+# that these cases were first named by, and case numbers are never reused,
+# so a case keeps its id when another one is removed.
+EXIT_CASES = [(i, argv, 2) for i, argv in enumerate(FINITE_ONLY)] + [
+    (20, ("dual", "--input", json.dumps(RAMP), f"--grid=0:1:{cli.MAX_GRID_POINTS}"), 0),
+    # exact but beyond float range: arithmetic failure, not a crash
+    (21, ("height", "--input", json.dumps(family_of(HUGE_RAMP))), 3),
+    (22, ("nef-check", "--input", json.dumps(family_of(HUGE_RAMP))), 3),
+    (23, ("plot", "--input", json.dumps(family_of(HUGE_RAMP)), "--grid=0:1:3"), 3),
+    # finite input whose height overflows: positive divergence
+    (24, ("height", "--input", json.dumps(family_of(with_params(RAMP, intercept=-1.5e308)))), 4),
 ]
 
 
 class TestInputRobustness:
     @pytest.mark.parametrize(
-        "argv, env_tol, code",
-        [(argv, None, 2) for argv in FINITE_ONLY]
-        + [
-            (("example-alpha", "--alpha", "1/4"), "inf", 2),
-            (("example-alpha", "--alpha", "1/4"), "1e400", 2),
-            (("dual", "--input", json.dumps(RAMP), f"--grid=0:1:{cli.MAX_GRID_POINTS}"), None, 0),
-            # exact but beyond float range: arithmetic failure, not a crash
-            (("height", "--input", json.dumps(family_of(HUGE_RAMP))), None, 3),
-            (("nef-check", "--input", json.dumps(family_of(HUGE_RAMP))), None, 3),
-            (("plot", "--input", json.dumps(family_of(HUGE_RAMP)), "--grid=0:1:3"), None, 3),
-            # finite input whose height overflows: positive divergence
-            (("height", "--input", json.dumps(family_of(with_params(RAMP, intercept=-1.5e308)))), None, 4),
-        ],
+        "argv, code",
+        [pytest.param(argv, code, id=f"argv{i}-None-{code}") for i, argv, code in EXIT_CASES],
     )
-    def test_exit_code(self, capsys, monkeypatch, argv, env_tol, code):
-        if env_tol is not None:
-            monkeypatch.setenv("ADELIC_HEIGHTS_TOL", env_tol)
+    def test_exit_code(self, capsys, argv, code):
         got, _, err = run(capsys, *argv)
         assert got == code, err
         assert code == 0 or err.startswith("error: ")
@@ -538,21 +539,27 @@ class TestInputRobustness:
 
 
 class TestPlumbing:
-    def test_env_tolerance_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("ADELIC_HEIGHTS_TOL", "1e-6")
-        payload = run_json(capsys, "example-alpha", "--alpha", "1/4")
-        assert payload["gap"] <= 1e-5
+    def test_unknown_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["example-alpha", "--alpha", "1/4", "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
-    def test_env_tolerance_garbage(self, capsys, monkeypatch):
-        monkeypatch.setenv("ADELIC_HEIGHTS_TOL", "plenty")
-        code, _, err = run(capsys, "example-alpha", "--alpha", "1/4")
-        assert code == 2
-        assert "ADELIC_HEIGHTS_TOL" in err
-
-    def test_nonpositive_tolerance(self, capsys):
-        code, _, err = run(capsys, "example-alpha", "--alpha", "1/4", "--tol", "0")
-        assert code == 2
-        assert "positive" in err
+    def test_readme_names_every_option(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"--[a-z][a-z-]*", section))
+        (subparsers,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        parsed = {
+            option
+            for sub in subparsers.choices.values()
+            for action in sub._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        assert documented == parsed
 
     def test_positive_divergence_exit_code(self, capsys, monkeypatch):
         def explode(args):

@@ -152,6 +152,15 @@ class TestMinConcave:
         m = min_concave(ramp().shift(2), phi)
         assert m == ramp().shift(2)
 
+    def test_balance_point_beyond_float_range(self):
+        # the second derivatives of the two singular parts balance only
+        # where (1-u) overflows a float: no split of the interval
+        f = singular_ramp(F(10**14 - 1, 10**14))
+        g = singular_ramp(F(49, 50)).shift(F(4, 3))
+        m = min_concave(f, g)
+        for u in (-1e6, -1e3, -50, -3.3, -1, -0.1, 0, 0.5, 3):
+            assert m(u) == pytest.approx(min(f(u), g(u)), rel=1e-12, abs=1e-12)
+
     def test_cutoff_increases_pointwise(self):
         phi = singular_ramp(F(1, 4))
         psi = ramp()
