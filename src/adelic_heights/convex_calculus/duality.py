@@ -17,12 +17,8 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from ..divisorial_core.vectors import _num, _to_fraction
-from .functions import AffinePiece, AlphaPiece, ConcaveFn, Number
+from .functions import AffinePiece, AlphaPiece, ConcaveFn, Number, _bisect_root
 from .measures import PositiveDivergenceError
-
-# Slack for slope comparisons that involve a float (the derivative of an
-# alpha piece, or float input); rational slopes are compared exactly.
-_EQ_TOL = 1e-12
 
 
 def _exact(*xs) -> bool:
@@ -30,8 +26,10 @@ def _exact(*xs) -> bool:
 
 
 def _above(x: Number, y: Number) -> bool:
-    """Slope x lies strictly above slope y."""
-    return x > y if _exact(x, y) else float(x) > float(y) + _EQ_TOL
+    """Slope x lies strictly above slope y: exactly on rationals, and at
+    face value in floats once either is a float (the derivative of an
+    alpha piece, or float input)."""
+    return x > y if _exact(x, y) else float(x) > float(y)
 
 
 def _differ(x: Number, y: Number) -> bool:
@@ -60,8 +58,14 @@ class PowerTerm:
         return self.coeff * base ** self.exponent
 
     def derivative(self, m: float) -> float:
+        """Infinite, with its sign, at the center and wherever it exceeds
+        the float range."""
         base = float(self.center) - m
-        return -self.coeff * self.exponent * base ** (self.exponent - 1.0)
+        k = -self.coeff * self.exponent
+        try:
+            return k * base ** (self.exponent - 1.0)
+        except (ZeroDivisionError, OverflowError):
+            return math.copysign(math.inf, k)
 
 
 @dataclass(frozen=True)
@@ -302,33 +306,22 @@ def conjugate_eval(d: DualFn, u: float) -> float:
     """Value at u of the conjugate of a dual function (numeric).
 
     Minimises m*u - d(m) over the domain; the objective is convex, so a
-    sign bisection on its slope u - d'(m) suffices.
+    sign bisection on its slope u - d'(m), to float resolution, suffices.
     """
     lo, hi = float(d.lo), float(d.hi)
     if d.is_degenerate():
         return lo * u - d.pieces[0].value(lo)
-    span = hi - lo
-    eps = 1e-12 * max(1.0, abs(lo), abs(hi))
-    a, b = lo + eps * span, hi - eps * span
 
     def g(m: float) -> float:
         return u - d.derivative(m)
 
-    if g(a) >= 0:
+    if g(lo) >= 0:
         va = d(d.lo)
         return u * lo - va if not math.isinf(va) else math.inf
-    if g(b) <= 0:
+    if g(hi) <= 0:
         vb = d(d.hi)
         return u * hi - vb if not math.isinf(vb) else math.inf
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a <= 1e-13 * max(1.0, abs(a), abs(b)):
-            break
-        if g(mid) < 0:
-            a = mid
-        else:
-            b = mid
-    m_star = 0.5 * (a + b)
+    m_star = _bisect_root(g, lo, hi)
     return u * m_star - d(m_star)
 
 

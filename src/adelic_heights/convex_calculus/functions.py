@@ -7,7 +7,8 @@ so 1-u >= 1 on their domain and every power expression stays smooth.
 
 Arithmetic and every decision are exact (Fractions) wherever only affine
 data is involved; crossings against alpha pieces are bracketed by exact
-sign analysis and then bisected to _REL_TOL relative accuracy.
+sign analysis and then bisected to float resolution, each decision taken
+on the sign of the difference of the two pieces.
 """
 
 from __future__ import annotations
@@ -16,16 +17,11 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..divisorial_core.vectors import _num, _to_fraction
 
 Number = Union[int, Fraction, float]
-
-# Bisection width for roots of power expressions: the float arithmetic of
-# singular (alpha) terms only.
-_REL_TOL = 1e-12
-
 
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-8 + 1e-8 * max(abs(a), abs(b))
@@ -93,7 +89,8 @@ Piece = Union[AffinePiece, AlphaPiece]
 
 # ---------------------------------------------------------------------------
 # Difference expressions slope*u + intercept + sum of c*(1-u)**a, with the
-# root-finding cascade used for crossings and extrema.
+# root finding used for crossings and extrema: every decision is the sign
+# of the expression itself, taken at face value.
 # ---------------------------------------------------------------------------
 
 
@@ -117,10 +114,10 @@ class _Expr:
             )
         return _Expr(p.slope - q.slope, p.intercept - q.intercept, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms and self.slope == 0 and self.intercept == 0
-
-    def value(self, u) -> float:
+    def value(self, u):
+        """Exact at a rational u when there are no power terms; float otherwise."""
+        if not self.terms:
+            return self.slope * u + self.intercept
         v = float(self.slope) * float(u) + float(self.intercept)
         for c, e in self.terms:
             v += c * (1.0 - float(u)) ** e
@@ -134,24 +131,13 @@ class _Expr:
             tuple((-c * e, e - 1.0) for c, e in self.terms),
         )
 
-    def scale(self) -> float:
-        s = max(1.0, abs(float(self.slope)), abs(float(self.intercept)))
-        for c, _ in self.terms:
-            s = max(s, abs(c))
-        return s
-
     def sign_at_minus_inf(self) -> int:
         if self.slope != 0:
             return -1 if self.slope > 0 else 1
         e_lead, c_lead = max(((e, c) for c, e in self.terms), default=(0.0, 0.0))
         if e_lead > 0:
             return 1 if c_lead > 0 else -1
-        lim = self.intercept + sum(c for c, e in self.terms if e == 0.0)
-        if lim > 0:
-            return 1
-        if lim < 0:
-            return -1
-        return 0
+        return _sign(self.intercept + sum(c for c, e in self.terms if e == 0.0))
 
     def limit_at_minus_inf(self) -> float:
         """Finite limit when slope and positive-exponent terms vanish."""
@@ -160,32 +146,28 @@ class _Expr:
         return float(self.intercept) + sum(c for c, e in self.terms if e == 0.0)
 
 
-def _sign(v: float, scale: float) -> int:
-    # float values of a power expression: zero within rounding of its scale
-    if abs(v) <= 1e-14 * scale:
-        return 0
-    return 1 if v > 0 else -1
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
 
 
-def _bisect_root(expr: _Expr, a: float, b: float) -> float:
-    """Root in [a, b] given opposite (or zero) endpoint signs."""
-    fa, fb = expr.value(a), expr.value(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    for _ in range(200):
+def _bisect_root(fn: Callable[[float], float], a: float, b: float) -> float:
+    """Sign change of fn on [a, b], where fn(a) and fn(b) are nonzero with
+    opposite signs, to float resolution: halves until the midpoint is an
+    end. 2100 halvings shrink any finite bracket to adjacent floats."""
+    a_neg = fn(a) < 0
+    m = a
+    for _ in range(2100):
         m = 0.5 * (a + b)
-        if b - a <= _REL_TOL * max(1.0, abs(a), abs(b)):
-            return m
-        fm = expr.value(m)
+        if m == a or m == b:
+            break
+        fm = fn(m)
         if fm == 0.0:
-            return m
-        if (fa > 0) != (fm > 0):
-            b, fb = m, fm
+            break
+        if (fm < 0) == a_neg:
+            a = m
         else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+            b = m
+    return m
 
 
 def _extend_left(expr: _Expr, right: float, target_sign: int) -> Optional[float]:
@@ -194,85 +176,57 @@ def _extend_left(expr: _Expr, right: float, target_sign: int) -> Optional[float]
     Valid on intervals where expr is monotone; doubles the step outward.
     """
     step = 1.0
-    a = min(right, 0.0) - step
-    scale = expr.scale()
     for _ in range(200):
-        if _sign(expr.value(a), scale) == target_sign:
+        a = min(right, 0.0) - step
+        if _sign(expr.value(a)) == target_sign:
             return a
         step *= 2.0
-        a = min(right, 0.0) - step
     return None
 
 
-def _monotone_roots(
-    expr: _Expr, seg_lo: Optional[float], seg_hi: float, scale: float
-) -> List[float]:
+def _monotone_roots(expr: _Expr, seg_lo: Optional[float], seg_hi: float) -> List[float]:
     """Roots on a segment where expr is monotone. seg_lo None means -inf."""
-    if seg_lo is None:
-        s_inf = expr.sign_at_minus_inf()
-        s_hi = _sign(expr.value(seg_hi), scale)
-        if s_hi == 0:
-            return [seg_hi]
-        if s_inf == 0 or s_inf == s_hi:
-            return []
-        a = _extend_left(expr, seg_hi, s_inf)
-        if a is None:
-            return []
-        return [_bisect_root(expr, a, seg_hi)]
-    s_lo = _sign(expr.value(seg_lo), scale)
-    s_hi = _sign(expr.value(seg_hi), scale)
-    if s_lo == 0 and s_hi == 0:
-        return []
-    if s_lo == 0:
-        return [seg_lo]
+    s_hi = _sign(expr.value(seg_hi))
     if s_hi == 0:
         return [seg_hi]
-    if s_lo == s_hi:
-        return []
-    return [_bisect_root(expr, seg_lo, seg_hi)]
+    if seg_lo is None:
+        s_lo = expr.sign_at_minus_inf()
+        seg_lo = _extend_left(expr, seg_hi, s_lo) if s_lo == -s_hi else None
+        if seg_lo is None:
+            return []
+    else:
+        s_lo = _sign(expr.value(seg_lo))
+        if s_lo == 0:
+            return [seg_lo]
+        if s_lo == s_hi:
+            return []
+    return [_bisect_root(expr.value, seg_lo, seg_hi)]
 
 
 def _critical_points(expr: _Expr, lo: Optional[float], hi: float) -> List[float]:
-    """Interior zeros of the derivative of expr on (lo, hi), hi finite."""
+    """Zeros of the derivative of expr on (lo, hi), hi finite, for an expr
+    with one or two power terms.
+
+    With one term the derivative is monotone; with two, it is monotone on
+    each side of the point where the derivatives of its terms balance.
+    """
     d = expr.derivative_expr()
-    if not d.terms:
-        return []
-    m = float(d.slope)  # constant part of the derivative
-    if len(d.terms) == 1:
-        (c, e) = d.terms[0]
-        # m + c*(1-u)**e = 0
-        if c == 0:
-            return []
-        rhs = -m / c
-        if rhs <= 0:
-            return []
-        u = 1.0 - rhs ** (1.0 / e)
-        return [u] if (lo is None or u > lo) and u < hi else []
+    if len(d.terms) > 2:
+        raise NotImplementedError("more than two singular terms in one difference")
+    segs: List[Tuple[Optional[float], float]] = [(lo, hi)]
     if len(d.terms) == 2:
         (c1, e1), (c2, e2) = d.terms
-        # second derivative vanishes where the two power terms balance
-        k1, k2 = -c1 * e1, -c2 * e2
-        crits: List[float] = []
-        split: Optional[float] = None
-        if k1 != 0 and k2 != 0:
-            rhs = -k2 / k1
-            if rhs > 0:
-                try:
-                    t = rhs ** (1.0 / (e1 - e2)) if e1 != e2 else 0.0
-                except OverflowError:
-                    t = 0.0  # the balance point lies beyond float range: no split
-                if t >= 1.0:
-                    split = 1.0 - t
-        segs: List[Tuple[Optional[float], float]] = []
-        if split is not None and (lo is None or split > lo) and split < hi:
-            segs = [(lo, split), (split, hi)]
-        else:
-            segs = [(lo, hi)]
-        scale = d.scale()
-        for a, b in segs:
-            crits.extend(_monotone_roots(d, a, b, scale))
-        return sorted(set(crits))
-    raise NotImplementedError("more than two singular terms in one difference")
+        # the second derivative vanishes where (1-u)**(e1-e2) = -k2/k1
+        k1, k2 = c1 * e1, c2 * e2
+        if k1 != 0 and k2 != 0 and e1 != e2 and -k2 / k1 > 0:
+            try:
+                t = (-k2 / k1) ** (1.0 / (e1 - e2))
+            except OverflowError:
+                t = 0.0  # the balance point lies beyond float range: no split
+            split = 1.0 - t
+            if t >= 1.0 and (lo is None or split > lo) and split < hi:
+                segs = [(lo, split), (split, hi)]
+    return sorted({r for a, b in segs for r in _monotone_roots(d, a, b)})
 
 
 def _expr_roots(expr: _Expr, lo: Optional[Fraction], hi: Optional[Fraction]) -> List[Fraction]:
@@ -281,8 +235,6 @@ def _expr_roots(expr: _Expr, lo: Optional[Fraction], hi: Optional[Fraction]) -> 
     Float roots are converted exactly; affine-only expressions solve
     exactly in rational arithmetic.
     """
-    if expr.is_zero():
-        return []
     if not expr.terms:
         if expr.slope == 0:
             return []
@@ -294,26 +246,9 @@ def _expr_roots(expr: _Expr, lo: Optional[Fraction], hi: Optional[Fraction]) -> 
         raise ValueError("singular terms cannot appear on a right-unbounded piece")
     hi_f = float(hi)
     lo_f = None if lo is None else float(lo)
-    crits = _critical_points(expr, lo_f, hi_f)
-    bounds: List[Tuple[Optional[float], float]] = []
-    prev: Optional[float] = lo_f
-    for c in crits:
-        bounds.append((prev, c))
-        prev = c
-    bounds.append((prev, hi_f))
-    scale = expr.scale()
-    roots: List[float] = []
-    for a, b in bounds:
-        roots.extend(_monotone_roots(expr, a, b, scale))
-    out: List[Fraction] = []
-    for r in sorted(set(roots)):
-        fr = Fraction(r)
-        if (lo is None or fr > lo) and fr < hi:
-            # float roots of a power expression closer than the bisection
-            # width are one root
-            if not out or float(fr) - float(out[-1]) > _REL_TOL * max(1.0, abs(float(fr))):
-                out.append(fr)
-    return out
+    edges = [lo_f, *_critical_points(expr, lo_f, hi_f), hi_f]
+    roots = {Fraction(r) for a, b in zip(edges, edges[1:]) for r in _monotone_roots(expr, a, b)}
+    return sorted(r for r in roots if (lo is None or r > lo) and r < hi)
 
 
 # ---------------------------------------------------------------------------
@@ -441,34 +376,46 @@ class ConcaveFn:
         return f"ConcaveFn(breakpoints={list(self.breakpoints)}, pieces={list(self.pieces)})"
 
 
-def _merged_partition(f: ConcaveFn, g: ConcaveFn) -> List[Fraction]:
-    return sorted(set(f.breakpoints) | set(g.breakpoints))
+def _pair_walk(
+    f: ConcaveFn,
+    g: ConcaveFn,
+    cuts: Sequence[Fraction] = (),
+    lo: Optional[Fraction] = None,
+    hi: Optional[Fraction] = None,
+) -> Iterator[Tuple[Optional[Fraction], Optional[Fraction], Fraction, Piece, Piece]]:
+    """Walk (lo, hi) cut at the breakpoints of f and g and at extra cuts.
+
+    Yields (lo, hi, probe, f-piece, g-piece) for each interval; None ends
+    are infinite, and the probe is a rational point inside the interval.
+    """
+    inner = sorted(set(f.breakpoints).union(g.breakpoints, cuts))
+    i = 0 if lo is None else bisect.bisect_right(inner, lo)
+    j = len(inner) if hi is None else bisect.bisect_left(inner, hi)
+    edges = [lo, *inner[i:j], hi]
+    for a, b in zip(edges, edges[1:]):
+        probe = _probe_point(a, b)
+        yield a, b, probe, f.piece_at(probe), g.piece_at(probe)
 
 
 def min_concave(f: ConcaveFn, g: ConcaveFn) -> ConcaveFn:
     """Pointwise minimum, again concave and piecewise in the catalog.
 
     Crossings inside each merged interval are located exactly for
-    affine/affine pairs and by sign-bracketed bisection otherwise.
+    affine/affine pairs and by sign-bracketed bisection otherwise; each
+    piece of the result is chosen by the sign of f - g at a probe point.
     """
-    base = _merged_partition(f, g)
-    cuts: List[Fraction] = list(base)
-    edges: List[Optional[Fraction]] = [None] + list(base) + [None]
-    for i in range(len(base) + 1):
-        lo, hi = edges[i], edges[i + 1]
-        probe = _probe_point(lo, hi)
-        fp, gp = f.piece_at(probe), g.piece_at(probe)
-        d = _Expr.difference(fp, gp)
-        cuts.extend(_expr_roots(d, lo, hi))
-    cuts = sorted(set(cuts))
+    roots = [
+        r
+        for lo, hi, _, fp, gp in _pair_walk(f, g)
+        for r in _expr_roots(_Expr.difference(fp, gp), lo, hi)
+    ]
+    cuts: List[Fraction] = []
     pieces: List[Piece] = []
-    edges2: List[Optional[Fraction]] = [None] + cuts + [None]
-    for i in range(len(cuts) + 1):
-        lo, hi = edges2[i], edges2[i + 1]
-        probe = _probe_point(lo, hi)
-        fp, gp = f.piece_at(probe), g.piece_at(probe)
-        # affine pieces evaluate exactly at the rational probe
-        pieces.append(fp if fp.value(probe) <= gp.value(probe) else gp)
+    for lo, _, probe, fp, gp in _pair_walk(f, g, roots):
+        if lo is not None:
+            cuts.append(lo)
+        # exact when the difference is affine (the same alpha cancels)
+        pieces.append(fp if _Expr.difference(fp, gp).value(probe) <= 0 else gp)
     return ConcaveFn(cuts, pieces)
 
 
@@ -507,13 +454,9 @@ def sup_distance(f: ConcaveFn, g: ConcaveFn) -> float:
     """Supremum of |f - g| over the line; +inf when the deviation is unbounded."""
     if f.slope_neg != g.slope_neg or f.slope_pos != g.slope_pos:
         return math.inf
-    base = _merged_partition(f, g)
-    edges: List[Optional[Fraction]] = [None] + base + [None]
     best = 0.0
-    for i in range(len(base) + 1):
-        lo, hi = edges[i], edges[i + 1]
-        probe = _probe_point(lo, hi)
-        d = _Expr.difference(f.piece_at(probe), g.piece_at(probe))
+    for lo, hi, _, fp, gp in _pair_walk(f, g):
+        d = _Expr.difference(fp, gp)
         if lo is None:
             if any(e > 0 for _, e in d.terms):
                 return math.inf

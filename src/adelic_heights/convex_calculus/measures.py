@@ -23,7 +23,7 @@ from .functions import (
     ConcaveFn,
     Number,
     _Expr,
-    _probe_point,
+    _pair_walk,
 )
 
 QUAD_TOL = 1e-9  # absolute accuracy of adaptive quadrature
@@ -176,14 +176,6 @@ def monge_ampere(f: ConcaveFn) -> Measure1D:
     return Measure1D(tuple(atoms), tuple(densities))
 
 
-def _subdivide(
-    piece: DensityPiece, cuts: Sequence[Fraction]
-) -> List[Tuple[Optional[Fraction], Fraction]]:
-    inner = [c for c in cuts if (piece.lo is None or c > piece.lo) and c < piece.hi]
-    edges: List[Optional[Fraction]] = [piece.lo] + sorted(set(inner)) + [piece.hi]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-
-
 def integrate_against(
     pair: Tuple[ConcaveFn, ConcaveFn],
     mu: Measure1D,
@@ -203,11 +195,9 @@ def integrate_against(
     total = 0.0
     for loc, m in mu.atoms:
         total += float(m) * (f(loc) - g(loc))
-    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
     for piece in mu.densities:
-        for lo, hi in _subdivide(piece, cuts):
-            probe = _probe_point(lo, hi)
-            expr = _Expr.difference(f.piece_at(probe), g.piece_at(probe))
+        for lo, hi, _, fp, gp in _pair_walk(f, g, lo=piece.lo, hi=piece.hi):
+            expr = _Expr.difference(fp, gp)
             sub = DensityPiece(lo, hi, piece.coeff, piece.exponent)
             if method == "quad":
                 total += _quad_piece(expr.value, sub, QUAD_TOL)

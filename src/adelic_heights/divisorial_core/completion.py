@@ -26,7 +26,6 @@ class CompletionElement:
         b: RationalVector,
         sequence: Callable[[int], RationalVector],
         modulus: Callable[[Fraction], int],
-        spot_check: bool = True,
     ):
         if not space.order_cone.contains(b):
             raise ValueError("gauge b must lie in the order cone")
@@ -34,8 +33,7 @@ class CompletionElement:
         self.b = b
         self.sequence = sequence
         self.modulus = modulus
-        if spot_check:
-            self._spot_check()
+        self._spot_check()
 
     def _spot_check(self) -> None:
         for eps in _SPOT_EPS:
@@ -52,9 +50,7 @@ class CompletionElement:
     def constant(
         space: DivisorialSpace, b: RationalVector, value: RationalVector
     ) -> "CompletionElement":
-        return CompletionElement(
-            space, b, lambda n: value, lambda eps: 0, spot_check=False
-        )
+        return CompletionElement(space, b, lambda n: value, lambda eps: 0)
 
 
 def completion_distance(x: CompletionElement, y: CompletionElement, eps) -> Fraction:

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from .cones import DivisorialSpace, SemilinearCone
+from .cones import DivisorialSpace
 from .completion import CompletionElement
 from .vectors import RationalVector, _to_fraction
 
@@ -24,9 +24,8 @@ class IntersectionMap:
     """Symmetric multilinear form given by coefficients on basis tuples.
 
     table maps an index tuple (any order; stored sorted) to the value on
-    the corresponding basis vectors. Missing tuples are zero. nef_cone
-    marks the region where the form is expected monotone and nonnegative;
-    it defaults to the order cone of the space.
+    the corresponding basis vectors. Missing tuples are zero. The form is
+    expected monotone and nonnegative on the order cone of the space.
     """
 
     def __init__(
@@ -34,14 +33,12 @@ class IntersectionMap:
         space: DivisorialSpace,
         arity: int,
         table: Dict[Tuple[int, ...], object],
-        nef_cone: Optional[SemilinearCone] = None,
     ):
         if arity < 1:
             raise ValueError("arity must be at least 1")
         self.space = space
         self.arity = arity
         self.dim = space.ambient_dim
-        self.nef_cone = nef_cone if nef_cone is not None else space.order_cone
         self.table: Dict[Tuple[int, ...], Fraction] = {}
         for idx, val in table.items():
             if len(idx) != arity:
@@ -162,7 +159,7 @@ def extend_intersection(
     for a in args[1:]:
         if a.b != base.b:
             raise AdmissibilityError("completion arguments use different gauges")
-    if not imap.nef_cone.contains(b_tilde):
+    if not imap.space.order_cone.contains(b_tilde):
         raise AdmissibilityError("comparison gauge b_tilde must be nef")
     if not imap.space.order_cone.contains(b_tilde - base.b):
         raise AdmissibilityError("comparison gauge must dominate the common gauge b")
@@ -171,7 +168,7 @@ def extend_intersection(
     n0 = max(int(a.modulus(Fraction(1))) for a in args)
     terms = [a.sequence(n0) for a in args]
     for t in terms:
-        if not imap.nef_cone.contains(t):
+        if not imap.space.order_cone.contains(t):
             raise PositivityError(
                 "sequence term leaves the nef region; the extension bound fails"
             )
@@ -185,7 +182,7 @@ def extend_intersection(
     n = max(int(a.modulus(delta)) for a in args)
     final = [a.sequence(n) for a in args]
     for t in final:
-        if not imap.nef_cone.contains(t):
+        if not imap.space.order_cone.contains(t):
             raise PositivityError(
                 "sequence term leaves the nef region; the extension bound fails"
             )

@@ -161,6 +161,47 @@ class TestMinConcave:
         for u in (-1e6, -1e3, -50, -3.3, -1, -0.1, 0, 0.5, 3):
             assert m(u) == pytest.approx(min(f(u), g(u)), rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "alpha_f, alpha_g, shift",
+        [
+            (F(7, 100), F(1, 20), F(38, 7)),
+            (F(3, 25), F(1, 10), F(20)),
+            (F(1, 2), F(1, 10**6), F(0)),
+            (F(1, 10**6), F(10**14 - 1, 10**14), F(4, 3)),
+            (F(10**14 - 1, 10**14), F(10**15 - 1, 10**15), F(0)),
+        ],
+    )
+    def test_far_crossing_of_two_singular_pieces(self, alpha_f, alpha_g, shift):
+        # the crossings lie far left (near u = -1.8e9 in the first case);
+        # each piece of the minimum is one of f's or g's, so away from a
+        # crossing it evaluates to min(f(u), g(u)) up to rounding
+        f, g = singular_ramp(alpha_f), singular_ramp(alpha_g).shift(shift)
+        m = min_concave(f, g)
+        for u in (-1e6, -1e10, -1e12):
+            assert m(u) == pytest.approx(min(f(u), g(u)), rel=1e-14)
+
+    def test_two_crossings_against_one_singular_piece(self):
+        # u/2 + 4*(1-u)**(1/4) - 41/10 rises to a maximum near u = -1.52
+        # and falls again: f - g changes sign twice on (-inf, 0]
+        f, g = singular_ramp(F(1, 4)), ConcaveFn.affine(F(1, 2), F(41, 10))
+        m = min_concave(f, g)
+        assert len(m.breakpoints) == 3
+        for u in (-1e6, -10, -3, -1.52, -0.5, -0.1, 0, 0.1, 5):
+            assert m(u) == pytest.approx(min(f(u), g(u)), rel=1e-14, abs=1e-14)
+
+    @given(
+        st.fractions(0, 1, max_denominator=10**6).filter(lambda a: 0 < a < 1),
+        st.fractions(0, 1, max_denominator=10**6).filter(lambda a: 0 < a < 1),
+        st.fractions(-100, 100, max_denominator=1000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_min_of_singular_ramps_is_pointwise_min(self, alpha_f, alpha_g, shift):
+        f, g = singular_ramp(alpha_f), singular_ramp(alpha_g).shift(shift)
+        m = min_concave(f, g)
+        for u in [-(10.0**k) for k in range(13)] + [-0.5, 0.0, 2.0]:
+            fu, gu = f(u), g(u)
+            assert abs(m(u) - min(fu, gu)) <= 1e-9 * max(1.0, abs(fu), abs(gu))
+
     def test_cutoff_increases_pointwise(self):
         phi = singular_ramp(F(1, 4))
         psi = ramp()
@@ -189,6 +230,14 @@ class TestSupDistance:
 
     def test_singular_deviation_is_infinite(self):
         assert sup_distance(ramp(), singular_ramp(F(1, 4))) == math.inf
+
+    def test_interior_extremum_against_a_singular_piece(self):
+        # on [-8, 0], f - g = u/2 + 4*(1-u)**(1/4) peaks at u = 1 - 2**(4/3)
+        # with value 1/2 + 3*2**(1/3), above its values at both ends
+        a = AlphaPiece(F(1, 4), 1, 0)
+        f = ConcaveFn([-8, 0], [AffinePiece(1, a.value(-8) + 8), a, AffinePiece(0, 4)])
+        g = profile_through([F(1), F(1, 2), F(0)], [F(-8), F(0)], F(4))
+        assert sup_distance(f, g) == pytest.approx(0.5 + 3 * 2 ** (1 / 3), rel=1e-12)
 
     def test_bounded_above_orientation(self):
         phi = singular_ramp(F(1, 4))
@@ -298,6 +347,16 @@ class TestBidual:
         d = legendre_dual(f)
         for u in (-25.0, -5.0, -1.0, 0.0, 2.0):
             assert abs(conjugate_eval(d, u) - f(u)) < 1e-8
+
+    @pytest.mark.parametrize("alpha", [F(241329, 250000), F(999, 1000), F(999999, 10**6)])
+    def test_singular_bidual_near_alpha_one(self, alpha):
+        # the dual's power term has exponent -alpha/(1-alpha), below -27
+        # here, so its derivative overflows a float near the domain's end;
+        # f(u) itself cancels terms of size |u|
+        f = singular_ramp(alpha)
+        d = legendre_dual(f)
+        for u in (-1e6, -30.0, -2.0, -0.5, 0.0, 3.0):
+            assert abs(conjugate_eval(d, u) - f(u)) <= 1e-12 * max(1.0, abs(u))
 
 
 class TestMongeAmpere:
