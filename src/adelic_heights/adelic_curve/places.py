@@ -13,14 +13,163 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from sympy import factorint, isprime
-
 from ..divisorial_core.vectors import _to_fraction
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (psi_k, k): psi_k is the least strong pseudoprime to all of the first k
+# prime bases (Jaeschke, Math. Comp. 61, 1993; Sorenson & Webster, Math.
+# Comp. 86, 2017), so Miller-Rabin to those k bases decides every n < psi_k.
+# psi_7 = psi_8 and psi_9 = psi_10 = psi_11, hence the skipped counts.
+_MR_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+
+
+def _miller_rabin(n: int, bases) -> bool:
+    """Whether n, odd and above every base, is a strong probable prime to
+    each base."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    a %= n
+    result = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (P = 1, first D in
+    5, -7, 9, -11, ... with Jacobi symbol -1); n odd, not a square, > 41."""
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # gcd(D, n) > 1 and |D| < n
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    U, V, Qk = 1, 1, Q  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V  # 2 U_{k+1}, 2 V_{k+1}
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def isprime(n: int) -> bool:
+    """Primality, proven below psi_13 ~ 3.3e24 and by Baillie-PSW above
+    (no BPSW pseudoprime is known)."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 1681:  # 41**2: trial division has decided
+        return True
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            return _miller_rabin(n, _SMALL_PRIMES[:k])
+    r = math.isqrt(n)
+    return (
+        r * r != n
+        and _miller_rabin(n, (2,))
+        and _strong_lucas_probable_prime(n)
+    )
+
+
+def _rho_brent(n: int) -> int:
+    """A proper divisor of n, odd, composite and not a square: Pollard rho
+    on x -> x**2 + c with Brent's cycle finding and gcds batched over 128
+    steps (Brent, BIT 20, 1980). Deterministic: c runs 1, 2, ..."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"no factor of {n} found")
 
 
 @lru_cache(maxsize=65536)
 def _factor(n: int) -> Tuple[Tuple[int, int], ...]:
-    return tuple(sorted(factorint(n).items()))
+    """Prime factorization of the integer n >= 1 as sorted (p, e) pairs."""
+    out: Dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if isprime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        r = math.isqrt(m)
+        d = r if r * r == m else _rho_brent(m)
+        stack += [d, m // d]
+    return tuple(sorted(out.items()))
 
 
 @dataclass(frozen=True, order=False)

@@ -561,8 +561,16 @@ def write_output(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print `error: ...` like every other error, exit 2."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_SCHEMA)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adelic-heights",
         description="Heights, energies, and dual profiles of adelic "
         "families on the projective line.",

@@ -28,6 +28,7 @@ from adelic_heights.adelic_curve import (
     support,
     twist,
 )
+from adelic_heights.adelic_curve import places
 from adelic_heights.cli import alpha_profile
 from adelic_heights.convex_calculus.duality import legendre_dual
 from adelic_heights.convex_calculus.functions import (
@@ -138,6 +139,109 @@ class TestPlaces:
     @settings(max_examples=60, deadline=None)
     def test_product_formula_random(self, q):
         assert product_formula_check(q).is_zero()
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases, k = 1..13
+# (psi_7 = psi_8, psi_9 = psi_10 = psi_11)
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+CARMICHAEL = (561, 41041, 825265)
+
+
+def _factor_dict(n):
+    return dict(places._factor(n))
+
+
+class TestPrimes:
+    def test_isprime_matches_sympy_below_3e5(self):
+        sympy = pytest.importorskip("sympy")
+        wrong = [n for n in range(300_000) if places.isprime(n) != sympy.isprime(n)]
+        assert wrong == []
+
+    def test_isprime_matches_sympy_in_every_base_stage(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(4)
+        edges = (1681,) + STRONG_PSEUDOPRIMES + (10**30,)
+        for lo, hi in zip(edges, edges[1:]):
+            draws = [rng.randrange(lo, hi) for _ in range(300)]
+            draws += [sympy.nextprime(lo), sympy.prevprime(hi), lo + 2, hi - 2]
+            for _ in range(20):  # primes and odd semiprimes pass trial division
+                p = sympy.nextprime(math.isqrt(rng.randrange(lo, hi)))
+                draws += [sympy.nextprime(rng.randrange(lo, hi)), p * sympy.nextprime(p)]
+            for n in draws:
+                assert places.isprime(n) == sympy.isprime(n), n
+
+    def test_strong_pseudoprimes_are_composite(self):
+        for n in STRONG_PSEUDOPRIMES:
+            assert not places.isprime(n), n
+            factors = _factor_dict(n)
+            assert math.prod(p**e for p, e in factors.items()) == n
+            assert sum(factors.values()) > 1
+            assert all(places.isprime(p) for p in factors)
+
+    def test_carmichael_numbers_and_prime_squares(self):
+        sympy = pytest.importorskip("sympy")
+        for n in CARMICHAEL:
+            assert not places.isprime(n)
+            assert _factor_dict(n) == sympy.factorint(n)
+        for p in (41, 43, 1301, 65521, 999983, 10**12 + 39, 2**61 - 1):
+            assert places.isprime(p)
+            assert not places.isprime(p * p)
+            assert _factor_dict(p * p) == {p: 2}  # by the square check
+        for p in (43, 1301, 65521, 999983):
+            assert _factor_dict(p**3) == {p: 3}  # by rho
+
+    def test_semiprimes_near_1e12(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(3)
+        for _ in range(40):
+            p = sympy.prevprime(rng.randint(10**5, 10**6))
+            q = sympy.nextprime(10**12 // p)
+            assert not places.isprime(p * q)
+            assert _factor_dict(p * q) == sympy.factorint(p * q)
+
+    def test_bpsw_above_psi_13(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        # the strong Lucas test alone, against sympy's, on odd non-squares
+        for n in range(43, 20_000, 2):
+            if math.isqrt(n) ** 2 != n:
+                assert places._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+        mersenne = [2**e - 1 for e in (89, 107, 127)]
+        for p in mersenne:
+            assert places.isprime(p)
+        assert not places.isprime(mersenne[0] * mersenne[1])
+        assert not places.isprime(mersenne[0] ** 2)
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.getrandbits(rng.randint(82, 160)) | 1
+            assert places.isprime(n) == sympy.isprime(n), n
+
+    def test_factor_matches_sympy_on_criterion_3_inputs(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(101)  # the draws of test_criterion_03_product_formula
+        qs = [
+            F(rng.randint(1, 10**12) * rng.choice((1, -1)), rng.randint(1, 10**12))
+            for _ in range(1000)
+        ]
+        for n in [abs(q.numerator) for q in qs] + [q.denominator for q in qs]:
+            assert _factor_dict(n) == sympy.factorint(n), n
+
+    def test_factor_of_one_and_small_powers(self):
+        assert places._factor(1) == ()
+        assert places._factor(2**40 * 3**5 * 41) == ((2, 40), (3, 5), (41, 1))
+        assert places._factor(1681) == ((41, 2),)
 
 
 class TestFamily:

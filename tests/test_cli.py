@@ -543,7 +543,43 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             cli.main(["example-alpha", "--alpha", "1/4", "--tol", "1e-3"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "unrecognized arguments: --tol" in err
+
+    def test_usage_error_in_a_child_process(self):
+        src_root = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "adelic_heights.cli", "core-demo", "--tol=-4"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: unrecognized arguments: --tol=-4\n"
+        assert proc.stdout == ""
+
+    def test_import_loads_only_the_standard_library(self):
+        src_root = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {src_root!r})\n"
+            "before = set(sys.modules)\n"
+            "import adelic_heights.cli\n"
+            "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+        )
+        loaded = proc.stdout.split()
+        assert "adelic_heights.cli" in loaded
+        foreign = [
+            m
+            for m in loaded
+            if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "adelic_heights"
+        ]
+        assert foreign == []
 
     def test_readme_names_every_option(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -448,6 +448,51 @@ class TestIntegration:
         ) < 1e-6
 
 
+class TestQuadrature:
+    """The double-exponential rule against the closed form, and against
+    scipy where both are accurate."""
+
+    def test_grid_of_alpha_profiles_matches_closed_form(self):
+        # ramp() is the canonical profile min(u, 0)
+        misses = []
+        for k in range(2, 20):
+            for shift in (F(-2), F(-7, 10), F(0), F(1, 2), F(2)):
+                phi = singular_ramp(F(k, 20)).shift(shift)
+                mu = monge_ampere(phi)
+                exact = integrate_against((ramp(), phi), mu, method="exact")
+                quad = integrate_against((ramp(), phi), mu, method="quad")
+                if exact == -math.inf:
+                    ok = quad == -math.inf
+                else:
+                    ok = abs(quad - exact) <= 1e-6
+                if not ok:
+                    misses.append((k, shift, exact, quad))
+        assert misses == []
+
+    def test_integrate_measure_matches_scipy(self):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        fns = [
+            lambda u: 1.0,
+            lambda u: math.exp(-abs(u)),
+            lambda u: 1.0 / (1.0 + u * u),
+        ]
+        psi = ramp()
+        measures = [monge_ampere(singular_ramp(F(k, 8))) for k in (1, 2, 3, 5)]
+        # scipy's one adaptive call misses mass on wider cutoff pieces (n = 100)
+        measures += [monge_ampere(cutoff(singular_ramp(a), psi, 10)) for a in (F(1, 8), F(1, 4))]
+        for mu in measures:
+            for fn in fns:
+                ref = sum(float(m) * fn(float(at)) for at, m in mu.atoms)
+                for piece in mu.densities:
+                    lo = -math.inf if piece.lo is None else float(piece.lo)
+                    val, _ = scipy_integrate.quad(
+                        lambda u: fn(u) * piece.density(u), lo, float(piece.hi),
+                        epsabs=1e-12, epsrel=1e-12, limit=400,
+                    )
+                    ref += val
+                assert abs(integrate_measure(fn, mu) - ref) < 1e-8
+
+
 def closed_form_energy(alpha: float) -> float:
     if alpha >= 0.5:
         return -math.inf
