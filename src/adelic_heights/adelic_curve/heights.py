@@ -152,7 +152,7 @@ def boundary_height(family: AdelicFamily, point: str) -> Real:
     raise ValueError("boundary point must be 'zero' or 'infinity'")
 
 
-def _differing_places(ref: AdelicFamily, sing: AdelicFamily):
+def _unequal_places(ref: AdelicFamily, sing: AdelicFamily):
     if ref.divisor != sing.divisor:
         raise ValueError("families must share the divisor")
     for place in sorted(set(ref.places()) | set(sing.places())):
@@ -177,7 +177,7 @@ def place_energies(
 
     The second family must be at most as singular as the first allows:
     at every place sup(psi_ref - psi_sing) must be finite."""
-    for place, psi, phi in _differing_places(ref, sing):
+    for place, psi, phi in _unequal_places(ref, sing):
         yield place, _at_place(place, local_energy, psi, phi)
 
 
@@ -185,7 +185,7 @@ def global_energy(ref: AdelicFamily, sing: AdelicFamily) -> float:
     """Sum of the place energies, finite or -inf. Places after the first
     -inf only have the precondition checked, so place order is irrelevant."""
     total = 0.0
-    for place, psi, phi in _differing_places(ref, sing):
+    for place, psi, phi in _unequal_places(ref, sing):
         if total == -math.inf:
             _at_place(place, _require_comparable, psi, phi)
         else:

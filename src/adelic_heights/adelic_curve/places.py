@@ -123,13 +123,26 @@ def isprime(n: int) -> bool:
     )
 
 
-def _rho_brent(n: int) -> int:
-    """A proper divisor of n, odd, composite and not a square: Pollard rho
-    on x -> x**2 + c with Brent's cycle finding and gcds batched over 128
-    steps (Brent, BIT 20, 1980). Deterministic: c runs 1, 2, ..."""
+# Pollard-Brent squarings one _factor call may spend. Some sqrt(p) of them
+# split off a prime factor p: (10**12 + 39) * (3 * 10**12 + 13) is charged
+# 2.1e6 (rounds up to r = 2**19), two 21-digit factors would need some 1e10.
+_FACTOR_STEPS = 1 << 22
+
+
+def _rho_brent(n: int, budget: int) -> Tuple[int, int]:
+    """A proper divisor of n, odd, composite and not a square, by Pollard
+    rho on x -> x**2 + c with Brent's cycle finding and gcds batched over
+    128 steps (Brent, BIT 20, 1980). Deterministic: c runs 1, 2, ...
+
+    Returns the divisor and what is left of budget, the squarings it may
+    take; each doubling round is charged in full before it runs, and the
+    divisor is 0 once a round would overrun."""
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            budget -= 2 * r
+            if budget < 0:
+                return 0, 0
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -148,26 +161,36 @@ def _rho_brent(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
-    raise ArithmeticError(f"no factor of {n} found")
+            return g, budget
+    return 0, 0
 
 
 @lru_cache(maxsize=65536)
 def _factor(n: int) -> Tuple[Tuple[int, int], ...]:
-    """Prime factorization of the integer n >= 1 as sorted (p, e) pairs."""
+    """Prime factorization of the integer n >= 1 as sorted (p, e) pairs.
+
+    Raises ArithmeticError when the cofactors left after trial division
+    need more than _FACTOR_STEPS Pollard-Brent squarings to split."""
     out: Dict[int, int] = {}
+    rest = n
     for p in _SMALL_PRIMES:
-        while n % p == 0:
-            n //= p
+        while rest % p == 0:
+            rest //= p
             out[p] = out.get(p, 0) + 1
-    stack = [n] if n > 1 else []
+    stack = [rest] if rest > 1 else []
+    budget = _FACTOR_STEPS
     while stack:
         m = stack.pop()
         if isprime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        r = math.isqrt(m)
-        d = r if r * r == m else _rho_brent(m)
+        d = math.isqrt(m)
+        if d * d != m:
+            d, budget = _rho_brent(m, budget)
+            if not d:
+                raise ArithmeticError(
+                    f"cannot factor {n} within {_FACTOR_STEPS} Pollard-Brent steps"
+                )
         stack += [d, m // d]
     return tuple(sorted(out.items()))
 

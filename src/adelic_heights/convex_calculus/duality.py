@@ -21,22 +21,13 @@ from .functions import AffinePiece, AlphaPiece, ConcaveFn, Number, _bisect_root
 from .measures import PositiveDivergenceError
 
 
-def _exact(*xs) -> bool:
-    return all(isinstance(x, Fraction) for x in xs)
-
-
 def _above(x: Number, y: Number) -> bool:
     """Slope x lies strictly above slope y: exactly on rationals, and at
     face value in floats once either is a float (the derivative of an
     alpha piece, or float input)."""
-    return x > y if _exact(x, y) else float(x) > float(y)
-
-
-def _differ(x: Number, y: Number) -> bool:
-    """Slopes x and y disagree (beyond float rounding, if either is a float)."""
-    if _exact(x, y):
-        return x != y
-    return abs(float(x) - float(y)) > 1e-9 * max(1.0, abs(float(y)))
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        return x > y
+    return float(x) > float(y)
 
 
 @dataclass(frozen=True)
@@ -87,14 +78,6 @@ class DualPiece:
                 return tv
             v += tv
         return v
-
-    def is_exact(self) -> bool:
-        """Affine with rational coefficients: evaluates and integrates exactly."""
-        return (
-            not self.terms
-            and isinstance(self.slope, Fraction)
-            and isinstance(self.intercept, Fraction)
-        )
 
     def derivative(self, m) -> float:
         v = float(self.slope)
@@ -154,12 +137,13 @@ class DualFn:
         return self.piece_at(m).value(m)
 
     def value(self, m) -> Union[Fraction, float]:
-        """Exact Fraction where the piece at m is exact, float otherwise
-        (-inf at a non-integrable endpoint)."""
+        """A piece with power terms evaluates in floats (-inf at a
+        non-integrable endpoint); an affine piece evaluates at the exact m,
+        so its value is a Fraction when its coefficients are."""
         piece = self.piece_at(m)
-        if piece.is_exact():
-            return piece.slope * _to_fraction(m) + piece.intercept
-        return piece.value(m)
+        if piece.terms:
+            return piece.value(m)
+        return piece.slope * _to_fraction(m) + piece.intercept
 
     def value_exact(self, m) -> Fraction:
         value = self.value(m)
@@ -191,7 +175,9 @@ class DualFn:
         return DualFn(self.lo, self.hi, bps, pieces)
 
     def integral(self) -> Union[Fraction, float]:
-        """Integral over the whole domain; exact for rational affine data.
+        """Integral over the whole domain: a Fraction when every piece is
+        affine with rational coefficients and every edge is rational, a
+        float otherwise.
 
         Endpoint singularities with exponent > -1 converge; at -1 and
         below the integral is -inf (positive divergence cannot occur for
@@ -201,14 +187,8 @@ class DualFn:
             return total
         edges = [self.lo] + list(self.breakpoints) + [self.hi]
         for piece, a, b in zip(self.pieces, edges, edges[1:]):
-            if piece.is_exact() and _exact(a, b):
-                total += piece.slope * (b * b - a * a) / 2 + piece.intercept * (b - a)
-            else:
-                af, bf = float(a), float(b)
-                total += float(piece.slope) * (bf * bf - af * af) / 2.0 + float(
-                    piece.intercept
-                ) * (bf - af)
-                total += sum(_integrate_power_term(t, af, bf) for t in piece.terms)
+            total += piece.slope * (b * b - a * a) / 2 + piece.intercept * (b - a)
+            total += sum(_integrate_power_term(t, float(a), float(b)) for t in piece.terms)
         return total
 
 
@@ -254,7 +234,7 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
         # breakpoint to the right of this piece: dual piece across the slope gap
         if i < n - 1:
             t = f.breakpoints[i]
-            d_hi = piece.derivative(t) if isinstance(piece, AlphaPiece) else piece.slope
+            d_hi = piece.derivative(t)
             if _above(d_hi, cur):
                 # exact when the piece is affine with rational coefficients
                 entries.append((d_hi, DualPiece(t, -piece.value(t))))
@@ -271,11 +251,7 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
                 cur = d_left
         else:
             # derivative is constant here; realign exactly on the slope
-            if _differ(piece.slope, cur):
-                raise AssertionError("slope bookkeeping failed in the transform")
             cur = piece.slope
-    if _differ(cur, hi):
-        raise AssertionError("transform did not reach the top slope")
     bps = [e for e, _ in entries[:-1]]
     pieces = [p for _, p in entries]
     return DualFn(lo, hi, bps, pieces)

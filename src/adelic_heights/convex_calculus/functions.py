@@ -261,8 +261,9 @@ class ConcaveFn:
 
     pieces[i] lives on [breakpoints[i-1], breakpoints[i]] (unbounded at the
     ends). Continuity and concavity are validated on construction: exactly
-    where both sides are affine, numerically against the closed forms
-    otherwise. Identical adjacent pieces are merged.
+    where both sides are affine with rational coefficients, numerically
+    against the closed forms otherwise. Identical adjacent pieces are
+    merged.
     """
 
     def __init__(self, breakpoints: Sequence, pieces: Sequence[Piece]):
@@ -288,6 +289,10 @@ class ConcaveFn:
         return out_b, out_p
 
     def _validate(self) -> None:
+        """The one check of each breakpoint's values and slopes, which
+        monge_ampere and legendre_dual trust. Exact when both values are
+        Fractions, that is, both sides are affine with rational
+        coefficients; with a singular or float side, with slack."""
         for i, piece in enumerate(self.pieces):
             hi = self.breakpoints[i] if i < len(self.breakpoints) else None
             if isinstance(piece, AlphaPiece):
@@ -297,27 +302,18 @@ class ConcaveFn:
                     )
         for i, t in enumerate(self.breakpoints):
             left, right = self.pieces[i], self.pieces[i + 1]
-            exact = (
-                isinstance(left, AffinePiece)
-                and isinstance(right, AffinePiece)
-                and all(
-                    isinstance(x, Fraction)
-                    for x in (left.slope, left.intercept, right.slope, right.intercept)
-                )
-            )
-            if exact:
-                if left.value(t) != right.value(t):
-                    raise ValueError(f"discontinuity at breakpoint {t}")
-                if not left.slope >= right.slope:
-                    raise ValueError(f"not concave at breakpoint {t}")
+            lv, rv = left.value(t), right.value(t)
+            ld, rd = left.derivative(t), right.derivative(t)
+            if isinstance(lv, Fraction) and isinstance(rv, Fraction):
+                continuous, concave = lv == rv, ld >= rd
             else:
-                # a singular side is evaluated in floats: compare with slack
-                lv, rv = float(left.value(t)), float(right.value(t))
-                if not _close(lv, rv):
-                    raise ValueError(f"discontinuity at breakpoint {t}")
-                ld, rd = float(left.derivative(t)), float(right.derivative(t))
-                if ld < rd - 1e-9 * max(1.0, abs(ld), abs(rd)):
-                    raise ValueError(f"not concave at breakpoint {t}")
+                ld, rd = float(ld), float(rd)
+                continuous = _close(float(lv), float(rv))
+                concave = ld >= rd - 1e-9 * max(1.0, abs(ld), abs(rd))
+            if not continuous:
+                raise ValueError(f"discontinuity at breakpoint {t}")
+            if not concave:
+                raise ValueError(f"not concave at breakpoint {t}")
 
     @property
     def slope_neg(self) -> Number:
@@ -344,16 +340,11 @@ class ConcaveFn:
     def __call__(self, u) -> float:
         return float(self.piece_at(u).value(u))
 
-    def value_exact(self, u: Fraction) -> Fraction:
-        piece = self.piece_at(u)
-        if not isinstance(piece, AffinePiece):
-            raise ValueError("exact evaluation needs an affine piece")
-        u = _to_fraction(u)
-        if not (
-            isinstance(piece.slope, Fraction) and isinstance(piece.intercept, Fraction)
-        ):
-            raise ValueError("exact evaluation needs rational coefficients")
-        return piece.slope * u + piece.intercept
+    def value_exact(self, u) -> Fraction:
+        value = self.piece_at(u).value(_to_fraction(u))
+        if not isinstance(value, Fraction):
+            raise ValueError("exact evaluation needs a rational affine piece")
+        return value
 
     def shift(self, c) -> "ConcaveFn":
         return ConcaveFn(self.breakpoints, [p.shifted(c) for p in self.pieces])

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..divisorial_core.vectors import _to_fraction
 from .functions import (
-    AffinePiece,
     AlphaPiece,
     ConcaveFn,
     Number,
@@ -144,26 +143,19 @@ class Measure1D:
 def monge_ampere(f: ConcaveFn) -> Measure1D:
     """Curvature measure -f'' of a concave function.
 
-    Every breakpoint carries an atom equal to its slope gap (zero gaps are
-    dropped); each singular piece contributes the density
-    (1-alpha)*(1-u)**(alpha-2) on its interval, 1 - alpha taken on the
-    exact alpha. The total mass equals slope_neg - slope_pos: exactly
-    without densities, up to float rounding of alpha - 2 and 1 - alpha.
+    Every breakpoint with a positive slope gap carries an atom of that
+    gap: a Fraction when both one-sided slopes are (affine sides with
+    rational slopes), a float otherwise. A float gap that rounds to zero
+    or below is dropped; construction has already bounded it. Each singular piece contributes
+    the density (1-alpha)*(1-u)**(alpha-2) on its interval, 1 - alpha
+    taken on the exact alpha. The total mass equals slope_neg - slope_pos:
+    exactly without densities, up to float rounding of alpha - 2 and
+    1 - alpha.
     """
     atoms: List[Tuple[Fraction, Number]] = []
     for i, t in enumerate(f.breakpoints):
-        left, right = f.pieces[i], f.pieces[i + 1]
-        if isinstance(left, AffinePiece) and isinstance(right, AffinePiece):
-            gap: Number = left.slope - right.slope
-        else:
-            gap = left.derivative(t) - right.derivative(t)
-        if gap < 0:
-            # only a float gap next to an alpha piece can dip below zero,
-            # by rounding; construction bounds it by the same slack
-            if gap < -1e-9 * max(1.0, abs(float(left.derivative(t)))):
-                raise ValueError(f"negative slope gap at breakpoint {t}")
-            continue
-        if gap != 0:
+        gap = f.pieces[i].derivative(t) - f.pieces[i + 1].derivative(t)
+        if gap > 0:
             atoms.append((t, gap))
     densities: List[DensityPiece] = []
     for lo, hi, piece in f.intervals():

@@ -111,78 +111,26 @@ def cell_has_nonzero_point(cell: Cell, dim: int) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# Exact interval arithmetic in one rational parameter (used by d_b).
-# lo/hi of None mean -inf/+inf.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Interval:
-    lo: Optional[Fraction]
-    lo_strict: bool
-    hi: Optional[Fraction]
-    hi_strict: bool
-
-    def is_empty(self) -> bool:
-        if self.lo is None or self.hi is None:
-            return False
-        if self.lo < self.hi:
-            return False
-        if self.lo == self.hi:
-            return self.lo_strict or self.hi_strict
-        return True
-
-    def intersect(self, other: "_Interval") -> "_Interval":
-        if self.lo is None:
-            lo, los = other.lo, other.lo_strict
-        elif other.lo is None:
-            lo, los = self.lo, self.lo_strict
-        elif self.lo > other.lo:
-            lo, los = self.lo, self.lo_strict
-        elif self.lo < other.lo:
-            lo, los = other.lo, other.lo_strict
-        else:
-            lo, los = self.lo, self.lo_strict or other.lo_strict
-        if self.hi is None:
-            hi, his = other.hi, other.hi_strict
-        elif other.hi is None:
-            hi, his = self.hi, self.hi_strict
-        elif self.hi < other.hi:
-            hi, his = self.hi, self.hi_strict
-        elif self.hi > other.hi:
-            hi, his = other.hi, other.hi_strict
-        else:
-            hi, his = self.hi, self.hi_strict or other.hi_strict
-        return _Interval(lo, los, hi, his)
-
-
-_FULL = _Interval(None, False, None, False)
-_NONNEG = _Interval(Fraction(0), False, None, False)
-
-
-def _constraint_delta_interval(c: Constraint, v: RationalVector, w: RationalVector) -> _Interval:
-    """Solution set in delta of c.row . (v + delta*w) >= 0 (or > 0)."""
-    base = c.value(v)
-    rate = c.value(w)
-    if rate == 0:
-        ok = base > 0 if c.strict else base >= 0
-        if ok:
-            return _FULL
-        return _Interval(Fraction(0), True, Fraction(0), True)  # empty
-    bound = -base / rate
-    if rate > 0:
-        return _Interval(bound, c.strict, None, False)
-    return _Interval(None, False, bound, c.strict)
-
-
-def _cell_delta_interval(cell: Cell, v: RationalVector, w: RationalVector) -> _Interval:
-    acc = _FULL
-    for c in cell.constraints:
-        acc = acc.intersect(_constraint_delta_interval(c, v, w))
-        if acc.is_empty():
-            break
-    return acc
+def _delta_inf(rows) -> Optional[Fraction]:
+    """Infimum of the delta >= 0 with base + delta*rate >= 0 (> 0 when
+    strict) for every (base, rate, strict) row; None when there is none."""
+    lo, lo_strict = Fraction(0), False
+    hi, hi_strict = None, False
+    for base, rate, strict in rows:
+        if rate == 0:
+            if not (base > 0 if strict else base >= 0):
+                return None
+            continue
+        bound = -base / rate
+        if rate > 0 and bound >= lo:
+            lo_strict = strict or (bound == lo and lo_strict)
+            lo = bound
+        elif rate < 0 and (hi is None or bound <= hi):
+            hi_strict = strict or (bound == hi and hi_strict)
+            hi = bound
+    if hi is not None and (hi < lo or (hi == lo and (lo_strict or hi_strict))):
+        return None
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +408,12 @@ def d_b(
     if not space.order_cone.contains(b):
         raise ValueError("gauge b must lie in the order cone")
     diff = x - y
-    best: Optional[Fraction] = None
-    for cell_a in space.order_cone.cells:
-        ia = _cell_delta_interval(cell_a, diff, b)  # diff + delta*b in N
-        if ia.is_empty():
-            continue
-        for cell_b in space.order_cone.cells:
-            ib = _cell_delta_interval(cell_b, -diff, b)  # delta*b - diff in N
-            iv = ia.intersect(ib).intersect(_NONNEG)
-            if iv.is_empty():
-                continue
-            lo = iv.lo if iv.lo is not None else Fraction(0)
-            if best is None or lo < best:
-                best = lo
-    if best is None:
-        return Fraction(1)
-    return min(best, Fraction(1))
+
+    def rows(cell: Cell, sign: int) -> list:
+        return [(sign * c.value(diff), c.value(b), c.strict) for c in cell.constraints]
+
+    cells = space.order_cone.cells
+    plus = [rows(cell, 1) for cell in cells]  # diff + delta*b in N
+    minus = [rows(cell, -1) for cell in cells]  # delta*b - diff in N
+    infs = (_delta_inf(ra + rb) for ra in plus for rb in minus)
+    return min([Fraction(1), *(d for d in infs if d is not None)])

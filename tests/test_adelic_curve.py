@@ -243,6 +243,10 @@ class TestPrimes:
         assert places._factor(2**40 * 3**5 * 41) == ((2, 40), (3, 5), (41, 1))
         assert places._factor(1681) == ((41, 2),)
 
+    def test_factor_within_budget_splits_two_13_digit_primes(self):
+        p, q = 1000000000039, 3000000000013
+        assert places._factor(p * q) == ((p, 1), (q, 1))
+
 
 class TestFamily:
     def test_divisor_validation(self):

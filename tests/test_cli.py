@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -546,6 +547,17 @@ class TestPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "unrecognized arguments: --tol" in err
+
+    def test_product_formula_gives_up_on_two_21_digit_primes(self, capsys):
+        # nextprime(1e20) * nextprime(3e20) needs some 1e10 Pollard rho
+        # steps: over the factoring budget, so a precondition error naming n
+        n = str(100000000000000000039 * 300000000000000000053)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "product-formula", n)
+        assert time.perf_counter() - start < 20
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and n in err
 
     def test_usage_error_in_a_child_process(self):
         src_root = str(Path(cli.__file__).resolve().parents[1])

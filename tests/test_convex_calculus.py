@@ -398,6 +398,72 @@ class TestMongeAmpere:
             assert mu.total_mass == f.slope_neg - f.slope_pos
 
 
+def float_twin(f, keep_even_slopes=False):
+    """f with float coefficients: every slope and intercept, or with
+    keep_even_slopes, float intercepts and exact slopes on even pieces."""
+    def piece(i, p):
+        slope = p.slope if keep_even_slopes and i % 2 == 0 else float(p.slope)
+        if isinstance(p, AlphaPiece):
+            return AlphaPiece(p.alpha, slope, float(p.intercept))
+        return AffinePiece(slope, float(p.intercept))
+
+    return ConcaveFn(f.breakpoints, [piece(i, p) for i, p in enumerate(f.pieces)])
+
+
+def assert_float_twin(x, exact):
+    """x is a float (never a Fraction) within 1e-12 of its rational twin."""
+    assert isinstance(x, float), x
+    assert x == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
+
+
+FLOAT_INPUT_PROFILES = {
+    "three_slope": three_slope,
+    "thirds": lambda: profile_through([F(7, 3), F(1, 3), F(-2, 7)], [F(-1, 3), F(5, 2)], F(1, 10)),
+    "singular": lambda: singular_ramp(F(1, 3)).shift(F(1, 10)),
+}
+
+
+class TestFloatInput:
+    """JSON numbers arrive as floats: float data stays float through every
+    reader of a profile and matches its rational twin."""
+
+    @pytest.mark.parametrize("keep_even_slopes", [False, True], ids=["floats", "mixed"])
+    @pytest.mark.parametrize("name", list(FLOAT_INPUT_PROFILES))
+    def test_matches_rational_twin(self, name, keep_even_slopes):
+        f = FLOAT_INPUT_PROFILES[name]()
+        g = float_twin(f, keep_even_slopes)
+        df, dg = legendre_dual(f), legendre_dual(g)
+        assert len(dg.pieces) == len(df.pieces)
+        knots_f = [df.lo, *df.breakpoints, df.hi]
+        knots_g = [dg.lo, *dg.breakpoints, dg.hi]
+        for a, b in zip(knots_g, knots_f):
+            assert float(a) == pytest.approx(float(b), rel=1e-12, abs=1e-12)
+        assert_float_twin(dg.integral(), df.integral())
+        mids = lambda ks: [(a + b) / 2 for a, b in zip(ks, ks[1:])]
+        for mg, mf in zip(knots_g + mids(knots_g), knots_f + mids(knots_f)):
+            assert_float_twin(dg.value(mg), df.value(mf))
+            with pytest.raises(ValueError, match="exact evaluation"):
+                dg.value_exact(mg)
+        mu_f, mu_g = monge_ampere(f), monge_ampere(g)
+        assert [t for t, _ in mu_g.atoms] == [t for t, _ in mu_f.atoms]
+        for (_, a), (_, b) in zip(mu_g.atoms, mu_f.atoms):
+            assert_float_twin(a, b)
+        assert mu_g.densities == mu_f.densities
+        assert_float_twin(mu_g.total_mass, mu_f.total_mass)
+        for u in (-3, F(-1, 3), 0, F(1, 2), 2, 5):
+            assert g(u) == pytest.approx(f(u), rel=1e-12, abs=1e-12)
+            with pytest.raises(ValueError, match="exact evaluation"):
+                g.value_exact(u)
+
+    def test_exact_slopes_keep_exact_atoms(self):
+        # the slope gaps do not read the intercepts, so they stay exact
+        f = FLOAT_INPUT_PROFILES["thirds"]()
+        g = ConcaveFn(f.breakpoints, [AffinePiece(p.slope, float(p.intercept)) for p in f.pieces])
+        assert monge_ampere(g).atoms == monge_ampere(f).atoms
+        assert all(isinstance(m, Fraction) for _, m in monge_ampere(g).atoms)
+        assert_float_twin(legendre_dual(g).integral(), legendre_dual(f).integral())
+
+
 class TestIntegration:
     def test_atom_only_integral(self):
         # ramp - singular_ramp at the origin is -4, against the unit atom
