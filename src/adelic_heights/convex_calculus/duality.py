@@ -3,7 +3,7 @@
 The dual of a piecewise function in the catalog is piecewise again:
 breakpoints of the original become affine dual pieces, affine pieces
 collapse to points, and singular pieces produce power profiles
-k*(center-m)**e. Dual functions are closed under addition, integrate in
+k*(center-m)**e. Dual functions add by one sorted sweep, integrate in
 closed form (with endpoint divergences classified exactly), and can be
 conjugated back.
 """
@@ -14,6 +14,8 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import List, Sequence, Tuple, Union
 
 from ..divisorial_core.vectors import _num, _to_fraction
@@ -85,13 +87,6 @@ class DualPiece:
             v += t.derivative(float(m))
         return v
 
-    def add(self, other: "DualPiece") -> "DualPiece":
-        return DualPiece(
-            self.slope + other.slope,
-            self.intercept + other.intercept,
-            self.terms + other.terms,
-        )
-
 
 class DualFn:
     """Concave function on [lo, hi] (a slope interval), piecewise affine
@@ -157,23 +152,6 @@ class DualFn:
     def is_affine_piecewise(self) -> bool:
         return all(not p.terms for p in self.pieces)
 
-    def __add__(self, other: "DualFn") -> "DualFn":
-        if self.lo != other.lo or self.hi != other.hi:
-            raise ValueError("dual functions live on different slope intervals")
-        if self.is_degenerate():
-            return DualFn(
-                self.lo, self.hi, [], [self.pieces[0].add(other.pieces[0])]
-            )
-        bps = sorted(set(self.breakpoints) | set(other.breakpoints))
-        # the pieces of each summand that start at each merged left edge
-        pieces = [
-            self.pieces[bisect.bisect_right(self.breakpoints, m)].add(
-                other.pieces[bisect.bisect_right(other.breakpoints, m)]
-            )
-            for m in [self.lo] + bps
-        ]
-        return DualFn(self.lo, self.hi, bps, pieces)
-
     def integral(self) -> Union[Fraction, float]:
         """Integral over the whole domain: a Fraction when every piece is
         affine with rational coefficients and every edge is rational, a
@@ -207,6 +185,65 @@ def _integrate_power_term(t: PowerTerm, a: float, b: float) -> float:
     if e == -1.0:
         return c * (math.log(da) - math.log(db))
     return c * (da ** (e + 1.0) - db ** (e + 1.0)) / (e + 1.0)
+
+
+class _RunningSum:
+    """A sum of Fractions and floats, kept exactly as a Fraction; it reads
+    back as that Fraction, or as a float rounded once while any float
+    summand is in it."""
+
+    __slots__ = ("exact", "floats")
+
+    def __init__(self, xs):
+        self.exact, self.floats = Fraction(0), 0
+        for x in xs:
+            self.swap(0, x)
+
+    def swap(self, old: Number, new: Number) -> None:
+        self.floats += isinstance(new, float) - isinstance(old, float)
+        self.exact += _to_fraction(new) - _to_fraction(old)
+
+    def read(self) -> Number:
+        return float(self.exact) if self.floats else self.exact
+
+
+def sum_duals(duals: Sequence[DualFn]) -> DualFn:
+    """Pointwise sum of duals on one slope interval, by one sorted sweep.
+
+    Every breakpoint of every summand is an event that swaps that
+    summand's piece for its next one. Sorted by (breakpoint, summand), the
+    events build each merged piece from running sums of slope and
+    intercept, so the cost is O(B log B) in the total breakpoint count B.
+    The merged breakpoints are the exact union of the summands' (a value
+    shared by several keeps the first summand's copy), and each piece
+    carries the power terms of the summands' pieces in summand order."""
+    lo, hi = duals[0].lo, duals[0].hi
+    if any(d.lo != lo or d.hi != hi for d in duals):
+        raise ValueError("dual functions live on different slope intervals")
+    slope = _RunningSum(d.pieces[0].slope for d in duals)
+    intercept = _RunningSum(d.pieces[0].intercept for d in duals)
+    # the power terms of the current piece of each summand that has had any
+    active = {i: d.pieces[0].terms for i, d in enumerate(duals) if d.pieces[0].terms}
+    terms = tuple(t for k in sorted(active) for t in active[k])
+
+    events = sorted(
+        (b, i, j)
+        for i, d in enumerate(duals)
+        for j, b in enumerate(d.breakpoints, 1)
+    )
+    breakpoints: List[Number] = []
+    pieces = [DualPiece(slope.read(), intercept.read(), terms)]
+    for b, group in groupby(events, key=itemgetter(0)):
+        for _, i, j in group:
+            old, new = duals[i].pieces[j - 1], duals[i].pieces[j]
+            slope.swap(old.slope, new.slope)
+            intercept.swap(old.intercept, new.intercept)
+            if old.terms or new.terms:
+                active[i] = new.terms
+                terms = tuple(t for k in sorted(active) for t in active[k])
+        breakpoints.append(b)
+        pieces.append(DualPiece(slope.read(), intercept.read(), terms))
+    return DualFn(lo, hi, breakpoints, pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Shared test helpers: continuous piecewise-affine profiles, and a
-hypothesis strategy for profiles whose slopes nearly collide."""
+"""Shared test helpers: continuous piecewise-affine profiles, and
+hypothesis strategies for profiles whose slopes nearly collide and for
+alpha-singular profiles with affine tails."""
 
 from fractions import Fraction as F
 
 from hypothesis import strategies as st
 
-from adelic_heights.convex_calculus.functions import AffinePiece, ConcaveFn
+from adelic_heights.convex_calculus.functions import AffinePiece, AlphaPiece, ConcaveFn
 
 
 def profile_through(slopes, bps, c0=F(0)) -> ConcaveFn:
@@ -41,3 +42,30 @@ def near_colliding_profiles(draw, anchors, max_inner) -> ConcaveFn:
     )
     c0 = draw(st.fractions(-3, 3, max_denominator=5))
     return profile_through([F(1), *inner, F(0)], sorted(bps), c0)
+
+
+@st.composite
+def alpha_profiles(draw) -> ConcaveFn:
+    """Profiles for the divisor 0[0] + 1[inf]: an alpha piece of slope 1 up
+    to a kink t0 <= 0, then affine pieces with rational slopes falling to 0.
+    The affine intercepts are floats (they continue the alpha piece), so
+    the dual has float breakpoints, float intercepts and a power term."""
+    alpha = F(draw(st.integers(1, 19)), 20)
+    head = AlphaPiece(alpha, 1, draw(st.fractions(-3, 3, max_denominator=5)))
+    t0 = -draw(st.fractions(0, 8, max_denominator=6))
+    top = head.derivative(t0)
+    slopes = sorted(
+        {s for s in draw(st.lists(st.fractions(0, 1, max_denominator=20), max_size=3)) if 0 < s < top},
+        reverse=True,
+    ) + [F(0)]
+    steps = draw(
+        st.lists(st.fractions(1, 4, max_denominator=4), min_size=len(slopes) - 1, max_size=len(slopes) - 1)
+    )
+    bps = [t0]
+    for step in steps:
+        bps.append(bps[-1] + step)
+    pieces = [head, AffinePiece(slopes[0], head.value(t0) - slopes[0] * t0)]
+    for s, t in zip(slopes[1:], bps[1:]):
+        prev = pieces[-1]
+        pieces.append(AffinePiece(s, prev.slope * t + prev.intercept - s * t))
+    return ConcaveFn(bps, pieces)

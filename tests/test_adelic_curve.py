@@ -30,13 +30,14 @@ from adelic_heights.adelic_curve import (
 )
 from adelic_heights.adelic_curve import places
 from adelic_heights.cli import alpha_profile
-from adelic_heights.convex_calculus.duality import legendre_dual
+from adelic_heights.convex_calculus.duality import DualPiece, legendre_dual
 from adelic_heights.convex_calculus.functions import (
     AffinePiece,
+    AlphaPiece,
     ConcaveFn,
 )
 
-from profiles import near_colliding_profiles, profile_through
+from profiles import alpha_profiles, near_colliding_profiles, profile_through
 
 INF = Place.infinity()
 
@@ -370,9 +371,101 @@ class TestRoof:
         places = [Place.prime(p) for p in (2, 3, 5, 7)]
         fam = AdelicFamily(hyperplane_divisor(), dict(zip(places, profiles)))
         height = global_height(fam)
-        expected = 2 * sum((legendre_dual(psi).integral() for psi in profiles), F(0))
+        duals = [legendre_dual(psi) for psi in profiles]
+        expected = 2 * sum((d.integral() for d in duals), F(0))
         assert isinstance(height, F) and isinstance(expected, F)
         assert height == expected
+        # the sweep-merged roof is a second computation of the same sum
+        merged = roof(fam).dual
+        assert set(merged.breakpoints) == set().union(*(d.breakpoints for d in duals))
+        assert 2 * merged.integral() == height
+        for m in (merged.lo, *merged.breakpoints, merged.hi):
+            value = merged.value(m)
+            assert isinstance(value, F)
+            assert value == sum((d.value(m) for d in duals), F(0))
+
+
+def kinked_alpha_profile(alpha, t0) -> ConcaveFn:
+    """An alpha piece up to the kink t0 < 0, then the constant it reaches
+    there: its dual has a float breakpoint and a power term on the last
+    piece only."""
+    head = AlphaPiece(alpha, 1, 0)
+    return ConcaveFn([t0], [head, AffinePiece(0, head.value(t0))])
+
+
+class TestRoofSweep:
+    """The merged roof (one sorted sweep over the per-place duals) against
+    the per-place sums that give the height, minimum and nef verdict."""
+
+    @given(
+        st.lists(
+            st.one_of(alpha_profiles(), near_colliding_profiles([F(1, 3), F(1, 2)], max_inner=3)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merged_value_is_the_sum_of_place_values(self, profiles):
+        places = [Place.prime(p) for p in (2, 3, 5, 7, 11)]
+        fam = AdelicFamily(hyperplane_divisor(), dict(zip(places, profiles)))
+        duals = [legendre_dual(psi) for psi in profiles]
+        merged = roof(fam).dual
+        assert set(merged.breakpoints) == set().union(*(d.breakpoints for d in duals))
+        knots = (merged.lo, *merged.breakpoints, merged.hi)
+        midpoints = [(a + b) / 2 for a, b in zip(knots, knots[1:])]
+        for m in (*knots, *midpoints):
+            got = merged.value(m)
+            parts = [d.value(m) for d in duals]
+            want = sum(parts, F(0))
+            assert type(got) is type(want)
+            if isinstance(want, F):
+                assert got == want
+            elif math.isinf(want) or math.isinf(got):
+                assert got == want
+            else:
+                # float only where an alpha place enters (its power term, or
+                # the float intercepts continuing it): the merged piece
+                # rounds its summed coefficients once and the sum rounds per
+                # place, which differ by a few ulps of the largest place value
+                scale = max(1.0, *(abs(float(v)) for v in parts))
+                assert got == pytest.approx(want, rel=0, abs=1e-12 * scale)
+
+    def test_degenerate_domain(self):
+        # a + b = 0: every dual lives on the point {1} and the roof is the
+        # single piece -(sum of the constants), with height exactly 0
+        divisor = ToricCompactifiedDivisor(-1, 1)
+        shifts = {Place.prime(2): F(1, 3), Place.prime(5): F(-2, 7), INF: F(5)}
+        fam = AdelicFamily(
+            divisor, {place: ConcaveFn.affine(1, c) for place, c in shifts.items()}
+        )
+        theta = roof(fam)
+        total = -sum(shifts.values(), F(0))
+        assert theta.domain == (F(1), F(1))
+        assert theta.dual.breakpoints == ()
+        assert theta.dual.pieces == (DualPiece(0, total),)
+        assert theta.endpoints() == (total, total)
+        height = global_height(fam)
+        assert isinstance(height, F) and height == 0
+        assert nef_status(fam) == NefStatus("relatively_nef_only", total)
+
+    def test_power_terms_keep_place_order(self):
+        # the place with the largest index has the smallest float
+        # breakpoint, so its power term is the first the sweep meets
+        alphas = {Place.prime(5): F(1, 5), Place.prime(2): F(1, 4), Place.prime(3): F(1, 3)}
+        kinks = {Place.prime(5): F(-1, 2), Place.prime(2): F(-4), Place.prime(3): F(-2)}
+        fam = AdelicFamily(
+            hyperplane_divisor(),
+            {place: kinked_alpha_profile(alphas[place], kinks[place]) for place in alphas},
+        )
+        duals = [legendre_dual(fam.exceptions[place]) for place in fam.places()]
+        merged = roof(fam).dual
+        knots = (merged.lo, *merged.breakpoints, merged.hi)
+        assert len(merged.pieces) == 4
+        for piece, a, b in zip(merged.pieces, knots, knots[1:]):
+            m = (a + b) / 2
+            assert piece.terms == tuple(t for d in duals for t in d.piece_at(m).terms)
+        exponents = [-float(a) / float(1 - a) for a in (F(1, 4), F(1, 3), F(1, 5))]
+        assert [t.exponent for t in merged.pieces[-1].terms] == exponents
 
 
 class TestHeights:
@@ -520,6 +613,13 @@ class TestExtendedHeight:
     def test_reference_must_be_nef(self):
         with pytest.raises(ValueError, match="nef"):
             extended_height(alpha_family(F(1, 4)), alpha_family(F(1, 4)))
+
+    def test_reference_with_wrong_slopes_is_not_nef(self):
+        loose = AdelicFamily(
+            hyperplane_divisor(), {INF: ConcaveFn.affine(F(1, 2))}, strict=False
+        )
+        with pytest.raises(ValueError, match="^reference family is not arithmetically nef$"):
+            extended_height(loose, canonical_family())
 
     def test_reduces_to_height_on_equal_families(self):
         fam = twist(canonical_family(), {INF: 2})

@@ -213,6 +213,22 @@ class TestHeightCommand:
         assert payload["mu_min_asy"] == "-inf"
         assert payload["roof"]["endpoints"][1] == "-inf"
 
+    def test_roof_power_terms_in_place_order(self, capsys):
+        # three alpha places listed out of order; the place with the largest
+        # prime has the smallest dual breakpoint, so the sweep meets its
+        # power term first, yet every roof piece lists terms by place
+        kinked = {}
+        for p, alpha, t0 in ((5, F(1, 5), F(-1, 2)), (3, F(1, 3), F(-2)), (2, F(1, 4), F(-4))):
+            head = AlphaPiece(alpha, 1, 0)
+            kinked[Place.prime(p)] = ConcaveFn([t0], [head, AffinePiece(0, head.value(t0))])
+        obj = cli.encode_family(AdelicFamily(ToricCompactifiedDivisor(0, 1), kinked))
+        obj["exceptions"].reverse()
+        payload = run_json(capsys, "height", "--input", json.dumps(obj))
+        exponent = {a: cli.encode_number(-float(a) / float(1 - a)) for a in (F(1, 4), F(1, 3), F(1, 5))}
+        got = [[t["exponent"] for t in piece["params"].get("terms", [])] for piece in payload["roof"]["pieces"]]
+        by_place = [exponent[F(1, 4)], exponent[F(1, 3)], exponent[F(1, 5)]]
+        assert got == [[], [by_place[2]], [by_place[1], by_place[2]], by_place]
+
     def test_invalid_slopes_are_precondition_error(self, capsys):
         fam = {
             "divisor": {"a": 0, "b": 1},
