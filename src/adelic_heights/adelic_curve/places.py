@@ -165,7 +165,8 @@ def _rho_brent(n: int, budget: int) -> Tuple[int, int]:
     return 0, 0
 
 
-@lru_cache(maxsize=65536)
+# each memo entry holds about 440 B, so 4096 of them stay under 2 MB
+@lru_cache(maxsize=4096)
 def _factor(n: int) -> Tuple[Tuple[int, int], ...]:
     """Prime factorization of the integer n >= 1 as sorted (p, e) pairs.
 

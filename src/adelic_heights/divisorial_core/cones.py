@@ -2,13 +2,15 @@
 
 A cone is a finite union of cells, each cell a finite conjunction of
 homogeneous linear constraints (strict or non-strict). Membership,
-closure, partial order, and the metric d_b are all decided exactly in
-Fraction arithmetic.
+closure, partial order, the cone axioms and the metric d_b are all decided
+exactly in Fraction arithmetic: the axioms by Fourier-Motzkin elimination,
+d_b by interval analysis.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -51,49 +53,72 @@ class Cell:
 
 
 # ---------------------------------------------------------------------------
-# Exact feasibility of linear systems (Fourier-Motzkin elimination).
+# Fourier-Motzkin elimination, the one engine behind every cone axiom.
 # Rows are (coeffs, const, strict) meaning coeffs . x + const >= 0 (> if strict).
 # ---------------------------------------------------------------------------
 
 
-def _fm_feasible(rows: list, dim: int) -> bool:
-    rows = list(rows)
-    for i in range(dim):
-        pos, neg, zero = [], [], []
-        for coeffs, const, strict in rows:
-            a = coeffs[i]
-            if a > 0:
-                pos.append((coeffs, const, strict))
-            elif a < 0:
-                neg.append((coeffs, const, strict))
-            else:
-                zero.append((coeffs, const, strict))
-        new_rows = zero
-        for (cp, bp, sp) in pos:
-            for (cn, bn, sn) in neg:
+def _primitive(coeffs: tuple, const, strict: bool) -> tuple:
+    """The row scaled by a positive number to coprime integers, so that
+    positively proportional rows become identical."""
+    entries = (*coeffs, const)
+    scale = math.lcm(*(e.denominator for e in entries))
+    ints = [e.numerator * (scale // e.denominator) for e in entries]
+    g = math.gcd(*ints) or 1
+    return tuple(e // g for e in ints[:-1]), ints[-1] // g, strict
+
+
+def _pair_count(rows: list, i: int) -> int:
+    pos = sum(1 for coeffs, _, _ in rows if coeffs[i] > 0)
+    neg = sum(1 for coeffs, _, _ in rows if coeffs[i] < 0)
+    return pos * neg
+
+
+def _eliminate(rows: Iterable, variables: Iterable[int]) -> list:
+    """Rows whose solution set is the projection of the rows' solution set
+    along the given coordinates, where their coefficients are all zero.
+
+    Rows are kept as coprime integers. Each step eliminates the variable
+    with the fewest positive x negative row pairs, then drops repeated
+    rows and rows that every point satisfies. A row that no point
+    satisfies is returned alone."""
+    left = list(variables)
+    while True:
+        kept = {}
+        for row in rows:
+            coeffs, const, strict = row = _primitive(*row)
+            if any(coeffs):
+                kept[row] = None
+            elif not (const > 0 if strict else const >= 0):
+                return [row]
+        rows = list(kept)
+        if not left:
+            return rows
+        i = min(left, key=lambda j: _pair_count(rows, j))
+        left.remove(i)
+        pos = [r for r in rows if r[0][i] > 0]
+        neg = [r for r in rows if r[0][i] < 0]
+        rows = [r for r in rows if r[0][i] == 0]
+        for cp, bp, sp in pos:
+            for cn, bn, sn in neg:
                 # scale so the i-th coefficients cancel; both scales positive
                 lam, mu = -cn[i], cp[i]
                 coeffs = tuple(lam * a + mu * b for a, b in zip(cp, cn))
-                const = lam * bp + mu * bn
-                new_rows.append((coeffs, const, sp or sn))
-        rows = new_rows
-    for coeffs, const, strict in rows:
-        if strict:
-            if not const > 0:
-                return False
-        else:
-            if not const >= 0:
-                return False
-    return True
+                rows.append((coeffs, lam * bp + mu * bn, sp or sn))
+
+
+def _feasible(rows: Iterable, n: int) -> bool:
+    """Exact test for a solution of rows in n variables."""
+    return not _eliminate(rows, range(n))
 
 
 def _cell_rows(cell: Cell) -> list:
-    return [(c.row, Fraction(0), c.strict) for c in cell.constraints]
+    return [(c.row, 0, c.strict) for c in cell.constraints]
 
 
 def cell_is_empty(cell: Cell, dim: int) -> bool:
     """Exact test for whether the cell has no solutions at all."""
-    return not _fm_feasible(_cell_rows(cell), dim)
+    return not _feasible(_cell_rows(cell), dim)
 
 
 def cell_has_nonzero_point(cell: Cell, dim: int) -> bool:
@@ -105,8 +130,8 @@ def cell_has_nonzero_point(cell: Cell, dim: int) -> bool:
     base = _cell_rows(cell)
     for i in range(dim):
         for s in (1, -1):
-            unit = tuple(Fraction(s) if j == i else Fraction(0) for j in range(dim))
-            if _fm_feasible(base + [(unit, Fraction(-1), False)], dim):
+            unit = tuple(s if j == i else 0 for j in range(dim))
+            if _feasible(base + [(unit, -1, False)], dim):
                 return True
     return False
 
@@ -137,27 +162,20 @@ def _delta_inf(rows) -> Optional[Fraction]:
 # Cones and spaces.
 # ---------------------------------------------------------------------------
 
-_SAMPLE_COORDS = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(3),
-    Fraction(-3),
-)
-
 
 class SemilinearCone:
     """Finite union of semilinear cells, closed under positive scaling
     by construction (all constraints are homogeneous).
 
-    The additivity half of the cone property cannot be decided exactly for
-    an arbitrary union, so it is checked on witnesses: the origin must be a
-    member, and pairwise sums of sampled members (plus any supplied
-    generators) must stay inside. Failures raise ValueError.
+    The rest of the cone property is decided exactly on construction: the
+    origin must be a member, and for each pair of distinct cells no member
+    of one plus a member of the other may break a constraint of every cell
+    (two members of one cell sum into that cell). Each pair takes one
+    elimination in 2*ambient_dim variables per choice of one broken
+    constraint in each cell, so cells C_1..C_m cost
+    sum_{i<j} prod_k |C_k| eliminations, and a one-cell cone none.
+    Declared generators are checked to be members. Failures raise
+    ValueError.
     """
 
     def __init__(
@@ -165,17 +183,19 @@ class SemilinearCone:
         cells: Iterable[Cell],
         ambient_dim: int,
         generators: Optional[Sequence[RationalVector]] = None,
-        check: bool = True,
     ):
         self.cells = tuple(cells)
         self.ambient_dim = ambient_dim
-        self.generators = tuple(generators) if generators else ()
         for cell in self.cells:
             for c in cell.constraints:
                 if len(c.row) != ambient_dim:
                     raise ValueError("constraint row has wrong dimension")
-        if check:
-            self._check_cone()
+        if not self.contains(RationalVector.zero(ambient_dim)):
+            raise ValueError("not a cone: the origin is not a member")
+        for g in generators or ():
+            if not self.contains(g):
+                raise ValueError(f"declared generator {g} is not a member")
+        self._check_additive()
 
     def contains(self, x: RationalVector) -> bool:
         if x.dim != self.ambient_dim:
@@ -190,166 +210,67 @@ class SemilinearCone:
             for cell in self.cells
             if not cell_is_empty(cell, self.ambient_dim)
         ]
-        return SemilinearCone(kept, self.ambient_dim, check=False)
+        return SemilinearCone(kept, self.ambient_dim)
 
-    def sample_points(self) -> list:
-        """Deterministic small-coordinate members, up to eight per cell."""
-        found = []
-        seen = set()
-        for cell in self.cells:
-            count = 0
-            for combo in itertools.product(_SAMPLE_COORDS, repeat=self.ambient_dim):
-                v = RationalVector(combo)
-                if cell.contains(v) and not v.is_zero():
-                    if v.coords not in seen:
-                        seen.add(v.coords)
-                        found.append(v)
-                    count += 1
-                    if count >= 8:
-                        break
-        return found
-
-    def _check_cone(self) -> None:
-        zero = RationalVector.zero(self.ambient_dim)
-        if not self.contains(zero):
-            raise ValueError("not a cone: the origin is not a member")
-        for g in self.generators:
-            if not self.contains(g):
-                raise ValueError(f"declared generator {g} is not a member")
-        witnesses = list(self.generators) + self.sample_points()
-        for x, y in itertools.combinations_with_replacement(witnesses, 2):
-            if not self.contains(x + y):
-                raise ValueError(
-                    f"not a cone: members {x} and {y} but their sum escapes"
-                )
+    def _check_additive(self) -> None:
+        n = self.ambient_dim
+        zeros = (0,) * n
+        pairs = itertools.combinations(enumerate(self.cells), 2)
+        for (i, ci), (j, cj) in pairs:
+            # x in ci and y in cj, over the variables (x, y)
+            members = [(c.row + zeros, 0, c.strict) for c in ci.constraints]
+            members += [(zeros + c.row, 0, c.strict) for c in cj.constraints]
+            for broken in itertools.product(*(cell.constraints for cell in self.cells)):
+                # x + y breaks the chosen constraint of every cell
+                escape = [(tuple(-a for a in c.row) * 2, 0, not c.strict) for c in broken]
+                if _feasible(members + escape, 2 * n):
+                    raise ValueError(
+                        f"not a cone: cells {i} and {j} have members whose sum escapes"
+                    )
 
     @staticmethod
     def full_space(dim: int) -> "SemilinearCone":
-        return SemilinearCone([Cell(())], dim, check=False)
+        return SemilinearCone([Cell(())], dim)
 
     @staticmethod
-    def from_halfspaces(rows: Sequence, dim: int, check: bool = True) -> "SemilinearCone":
+    def from_halfspaces(rows: Sequence, dim: int) -> "SemilinearCone":
         """Single polyhedral cell {x : row . x >= 0 for each row}."""
         cell = Cell(tuple(Constraint(r, strict=False) for r in rows))
-        return SemilinearCone([cell], dim, check=check)
+        return SemilinearCone([cell], dim)
 
     @staticmethod
     def from_generators(gens: Sequence[RationalVector], dim: int) -> "SemilinearCone":
-        """Polyhedral cone positively spanned by the given vectors.
+        """Polyhedral cone positively spanned by the given vectors: the
+        projection of {(x, lam) : x = sum_k lam_k g_k, lam >= 0} onto x.
 
-        Implemented exactly for ambient dimension 1 and 2 (the exact
-        angular-sort construction does not extend to higher dimensions
-        without a double-description step, which callers there must
-        perform themselves by passing half-space rows).
+        Implemented for ambient dimension 1 and 2. Elimination keeps every
+        redundant row it makes, so in higher dimensions the projection grows
+        too fast (7 generators in dimension 3 can give over 10^5 rows);
+        callers there pass half-space rows instead.
         """
-        gens = [g for g in gens if not g.is_zero()]
-        if dim == 1:
-            has_pos = any(g[0] > 0 for g in gens)
-            has_neg = any(g[0] < 0 for g in gens)
-            if has_pos and has_neg:
-                return SemilinearCone.full_space(1)
-            if has_pos:
-                return SemilinearCone.from_halfspaces([(Fraction(1),)], 1)
-            if has_neg:
-                return SemilinearCone.from_halfspaces([(Fraction(-1),)], 1)
-            return SemilinearCone.from_halfspaces(
-                [(Fraction(1),), (Fraction(-1),)], 1
-            )
-        if dim != 2:
+        if dim not in (1, 2):
             raise NotImplementedError(
-                "from_generators is exact only in dimension <= 2; "
+                "from_generators is implemented only in dimension <= 2; "
                 "supply half-space rows directly in higher dimensions"
             )
-        if not gens:
-            rows = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-            return SemilinearCone.from_halfspaces(rows, 2)
-
-        def cross(u, v) -> Fraction:
-            return u[0] * v[1] - u[1] * v[0]
-
-        def same_dir(u, v) -> bool:
-            return cross(u, v) == 0 and u.dot(v) > 0
-
-        dirs: list = []
-        for g in gens:
-            if not any(same_dir(g, d) for d in dirs):
-                dirs.append(g)
-
-        # exact counterclockwise angular sort starting at direction (1, 0)
-        import functools
-
-        def cmp(u, v):
-            ku = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-            kv = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-            if ku != kv:
-                return -1 if ku < kv else 1
-            c = cross(u, v)
-            return 0 if c == 0 else (-1 if c > 0 else 1)
-
-        dirs.sort(key=functools.cmp_to_key(cmp))
-        n = len(dirs)
-        if n == 1:
-            g = dirs[0]
-            cell = Cell(
-                (
-                    Constraint((g[1], -g[0])),
-                    Constraint((-g[1], g[0])),
-                    Constraint((g[0], g[1])),  # excludes the opposite ray
-                )
-            )
-            return SemilinearCone([cell], 2, check=False)
-        if n == 2 and cross(dirs[0], dirs[1]) == 0:
-            # opposite rays span a line
-            u = dirs[0]
-            return SemilinearCone.from_halfspaces(
-                [(u[1], -u[0]), (-u[1], u[0])], 2, check=False
-            )
-        # a circular gap of angle >= pi between consecutive directions is
-        # unique if present; without one the vectors positively span the plane
-        gap_at = None
-        for i in range(n):
-            u, v = dirs[i], dirs[(i + 1) % n]
-            c = cross(u, v)
-            if c < 0 or (c == 0 and u.dot(v) < 0):
-                gap_at = i
-                break
-        if gap_at is None:
-            return SemilinearCone.full_space(2)
-        u, v = dirs[gap_at], dirs[(gap_at + 1) % n]
-        # the hull spans counterclockwise from v around to u (angle <= pi),
-        # so two half-planes cut it out; at exactly pi they coincide
-        return SemilinearCone.from_halfspaces(
-            [(-v[1], v[0]), (u[1], -u[0])], 2, check=False
-        )
-
-
-def _rank(vectors: Sequence[RationalVector], dim: int) -> int:
-    rows = [list(v.coords) for v in vectors]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < dim:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / prow[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        col += 1
-    return rank
+        k = len(gens)
+        rows = []
+        for i in range(dim):
+            # x_i - sum_k lam_k g_k[i] = 0, as two inequalities
+            coeffs = tuple(int(j == i) for j in range(dim)) + tuple(-g[i] for g in gens)
+            rows += [(coeffs, 0, False), (tuple(-a for a in coeffs), 0, False)]
+        for j in range(k):
+            rows.append(((0,) * dim + tuple(int(m == j) for m in range(k)), 0, False))
+        projected = _eliminate(rows, range(dim, dim + k))
+        return SemilinearCone.from_halfspaces([c[:dim] for c, _, _ in projected], dim)
 
 
 class DivisorialSpace:
     """Rational vector space ordered by a pointed semilinear cone.
 
-    Pointedness (N meets -N only at the origin) is verified exactly by
-    elimination. That the cone linearly spans the whole space is verified
-    on sampled members and generators; pass generators if sampling cannot
-    certify it.
+    Both conditions are decided exactly by elimination: the cone meets its
+    negative only at the origin, and it spans the space, that is, it has
+    an interior point (some cell is feasible with every row made strict).
     """
 
     def __init__(self, ambient_dim: int, order_cone: SemilinearCone):
@@ -361,30 +282,25 @@ class DivisorialSpace:
         self._check_spans()
 
     def _check_pointed(self) -> None:
-        for c1 in self.order_cone.cells:
-            for c2 in self.order_cone.cells:
-                negated = tuple(
-                    Constraint(tuple(-a for a in c.row), c.strict)
-                    for c in c2.constraints
+        # c1 meets -c2 iff c2 meets -c1, so each unordered pair is enough
+        cells = self.order_cone.cells
+        for c1, c2 in itertools.combinations_with_replacement(cells, 2):
+            negated = tuple(
+                Constraint(tuple(-a for a in c.row), c.strict) for c in c2.constraints
+            )
+            if cell_has_nonzero_point(Cell(c1.constraints + negated), self.ambient_dim):
+                raise ValueError(
+                    "order cone is not pointed: it meets its negative "
+                    "in a nonzero vector"
                 )
-                if cell_has_nonzero_point(
-                    Cell(c1.constraints + negated), self.ambient_dim
-                ):
-                    raise ValueError(
-                        "order cone is not pointed: it meets its negative "
-                        "in a nonzero vector"
-                    )
 
     def _check_spans(self) -> None:
-        pts = list(self.order_cone.generators) + self.order_cone.sample_points()
-        if _rank(pts, self.ambient_dim) < self.ambient_dim:
-            raise ValueError(
-                "cannot certify that the order cone spans the space; "
-                "supply generators covering all directions"
-            )
-
-    def contains(self, x: RationalVector) -> bool:
-        return self.order_cone.contains(x)
+        # an all-zero non-strict row holds everywhere; made strict it would not
+        for cell in self.order_cone.cells:
+            rows = [(c.row, 0, True) for c in cell.constraints if c.strict or any(c.row)]
+            if _feasible(rows, self.ambient_dim):
+                return
+        raise ValueError("order cone does not span the space: it has no interior point")
 
 
 def leq(space: DivisorialSpace, x: RationalVector, y: RationalVector) -> bool:

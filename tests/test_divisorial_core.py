@@ -1,5 +1,6 @@
 """Exact cone geometry, the order metric, and pairing extension."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -94,10 +95,23 @@ class TestCones:
         assert not line.contains(V([1, 0]))
 
     def test_non_cone_union_rejected(self):
-        q2 = Cell((Constraint((-1, 0)), Constraint((0, 1))))
-        q4 = Cell((Constraint((1, 0)), Constraint((0, -1))))
-        with pytest.raises(ValueError, match="sum escapes"):
-            SemilinearCone([q2, q4], 2)
+        quadrants_2_and_4 = (
+            [Cell((Constraint((-1, 0)), Constraint((0, 1)))),
+             Cell((Constraint((1, 0)), Constraint((0, -1))))],
+            V([-2, 1]),
+            V([1, -2]),
+        )
+        # two half-spaces of 3-space, one of them open
+        half_spaces = (
+            [Cell((Constraint((-1, -1, 2)),)), Cell((Constraint((0, 1, -1), strict=True),))],
+            V([2, 0, 1]),
+            V([0, 1, 0]),
+        )
+        for cells, x, y in (quadrants_2_and_4, half_spaces):
+            assert cells[0].contains(x) and cells[1].contains(y)
+            assert not any(cell.contains(x + y) for cell in cells)
+            with pytest.raises(ValueError, match="cells 0 and 1 have members whose sum escapes"):
+                SemilinearCone(cells, x.dim)
 
     def test_closure_of_half_open_cone(self):
         c = half_open_cone()
@@ -113,6 +127,70 @@ class TestCones:
         assert c.closure().contains(V([1, 0]))
 
 
+def cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def caratheodory_member(gens, x):
+    """x = 0, x = a*g, or x = a*g + b*h with a, b >= 0 solved exactly."""
+    if x.is_zero():
+        return True
+    gens = [g for g in gens if not g.is_zero()]
+    if any(cross(g, x) == 0 and g.dot(x) > 0 for g in gens):
+        return True
+    for g, h in itertools.combinations(gens, 2):
+        det = cross(g, h)
+        if det != 0 and cross(x, h) / det >= 0 and cross(g, x) / det >= 0:
+            return True
+    return False
+
+
+small = st.integers(min_value=-2, max_value=2)
+
+
+@st.composite
+def unions(draw):
+    """At most three cells of one to four rows in {-2..2}^dim, a quarter strict."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    row = st.tuples(*[small] * dim)
+    constraint = st.builds(Constraint, row, st.sampled_from([False, False, False, True]))
+    cell = st.lists(constraint, min_size=1, max_size=4).map(lambda cs: Cell(tuple(cs)))
+    return dim, draw(st.lists(cell, min_size=1, max_size=3))
+
+
+class TestConeProperties:
+    @given(st.lists(st.tuples(small, small).map(V), max_size=6), st.lists(vec2, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_generated_cone_matches_caratheodory(self, gens, probes):
+        cone = SemilinearCone.from_generators(gens, 2)
+        # boundary rays and their opposites, besides the random probes
+        probes += [s * g for g in gens for s in (1, -1)]
+        probes += [g + h for g, h in itertools.combinations(gens, 2)]
+        for x in probes:
+            assert cone.contains(x) == caratheodory_member(gens, x)
+
+    @pytest.mark.parametrize(
+        "gens, members",
+        [([], [0]), ([0], [0]), ([2], [0, 3]), ([-1], [-3, 0]), ([2, -3], [-3, 0, 3])],
+    )
+    def test_generated_cone_on_the_line(self, gens, members):
+        cone = SemilinearCone.from_generators([V([g]) for g in gens], 1)
+        for x in (-3, 0, 3):
+            assert cone.contains(V([x])) == (x in members)
+
+    @given(unions(), st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=16, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_constructed_union_is_closed_under_addition(self, union, points):
+        dim, cells = union
+        try:
+            cone = SemilinearCone(cells, dim)
+        except ValueError:
+            return
+        members = [x for x in (V(p[:dim]) for p in points) if cone.contains(x)]
+        for x, y in itertools.combinations(members, 2):
+            assert cone.contains(x + y)
+
+
 class TestSpace:
     def test_pointedness_rejects_halfplane(self):
         half = SemilinearCone.from_halfspaces([(0, 1)], 2)
@@ -121,6 +199,29 @@ class TestSpace:
 
     def test_half_open_cone_is_pointed(self):
         DivisorialSpace(2, half_open_cone())
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # a narrow pointed cone
+            [(-1, 2, 2), (2, -2, 0), (2, -1, 1)],
+            # an all-zero row holds everywhere and must not hide the interior
+            [(1, 0), (0, 1), (0, 0)],
+        ],
+    )
+    def test_spanning_cone_builds_a_space(self, rows):
+        dim = len(rows[0])
+        DivisorialSpace(dim, SemilinearCone.from_halfspaces(rows, dim))
+
+    @pytest.mark.parametrize(
+        "rows",
+        # a ray in the plane, and a pointed cone inside the plane x + y = 0 of 3-space
+        [[(1, 0), (-1, 0), (0, 1)], [(1, 1, 0), (-1, -1, 0), (0, 0, 1), (1, 0, 0)]],
+    )
+    def test_cone_without_interior_spans_nothing(self, rows):
+        dim = len(rows[0])
+        with pytest.raises(ValueError, match="does not span"):
+            DivisorialSpace(dim, SemilinearCone.from_halfspaces(rows, dim))
 
     def test_order_relation(self):
         sp = standard_space()
