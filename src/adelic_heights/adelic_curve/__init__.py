@@ -12,12 +12,12 @@ from .places import (
 from .family import (
     ToricCompactifiedDivisor,
     AdelicFamily,
+    RoofFunction,
+    NefStatus,
     canonical_fn,
     strongly_nef_local_check,
 )
 from .heights import (
-    RoofFunction,
-    NefStatus,
     roof,
     global_height,
     point_height,

@@ -3,15 +3,21 @@
 A compactified divisor a[0] + b[infinity] on P^1 fixes a canonical concave
 profile min(b*u, -a*u). A family assigns one profile per place; all but
 finitely many places use the canonical one, so the family is described by
-the divisor plus a finite table of exceptions.
+the divisor plus a finite table of exceptions. A family is read-only, so
+it builds its local data once: the roof, the sum of the per-place Legendre
+duals that every height and the nef verdict read, on first use.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..convex_calculus.duality import DualFn, legendre_dual, sum_duals
 from ..convex_calculus.functions import (
     AffinePiece,
     ConcaveFn,
@@ -19,6 +25,13 @@ from ..convex_calculus.functions import (
 )
 from ..divisorial_core.vectors import _to_fraction
 from .places import Place
+
+Real = Union[Fraction, float]
+
+S_AMPLE = "S_ample"
+S_NEF_ONLY = "S_nef_only"
+RELATIVELY_NEF_ONLY = "relatively_nef_only"
+NOT_RELATIVELY_NEF = "not_relatively_nef"
 
 
 class ToricCompactifiedDivisor:
@@ -76,13 +89,111 @@ def strongly_nef_local_check(
     return strongly_nef, non_singular
 
 
+@dataclass(frozen=True)
+class NefStatus:
+    """Classification by the sign of the roof minimum; mu_min_asy is that
+    minimum, or None when broken slopes leave no roof to measure."""
+
+    status: str
+    mu_min_asy: Optional[Real]
+
+
+class RoofFunction:
+    """Concave function on [-a, b]: the sum of the local dual profiles.
+
+    It holds the dual at each place, the canonical one first and then the
+    exceptional places in order. Endpoint values, minimum, integral and
+    height are sums over places, O(N*k) for N places of k breakpoints,
+    exact rationals wherever the dual data is affine with rational
+    coefficients; endpoint singularities evaluate to -inf. The endpoint
+    values are summed once, and the merged function, `dual`, is built on
+    first use by one sorted sweep.
+    """
+
+    def __init__(self, duals: Sequence[DualFn], divisor: ToricCompactifiedDivisor):
+        self.duals = tuple(duals)
+        self.divisor = divisor
+
+    @cached_property
+    def dual(self) -> DualFn:
+        return sum_duals(self.duals)
+
+    @property
+    def domain(self) -> Tuple[Real, Real]:
+        return (self.duals[0].lo, self.duals[0].hi)
+
+    def __call__(self, m) -> float:
+        return self.dual(m)
+
+    def value(self, m) -> Real:
+        return sum((d.value(m) for d in self.duals), Fraction(0))
+
+    @cached_property
+    def _endpoints(self) -> Tuple[Real, Real]:
+        lo, hi = self.domain
+        return self.value(lo), self.value(hi)
+
+    def endpoints(self) -> Tuple[Real, Real]:
+        return self._endpoints
+
+    def minimum(self) -> Real:
+        # concave on a closed interval, so the minimum sits at an endpoint
+        return min(self.endpoints())
+
+    def integral(self) -> Real:
+        return sum((d.integral() for d in self.duals), Fraction(0))
+
+    def height(self) -> Real:
+        """Twice the integral: the global height of the family."""
+        return 2 * self.integral()
+
+    def nef_status(self) -> NefStatus:
+        """Classification by the sign of the minimum, decided exactly."""
+        mu = self.minimum()
+        if mu > 0:
+            return NefStatus(S_AMPLE, mu)
+        if mu == 0:
+            return NefStatus(S_NEF_ONLY, mu)
+        return NefStatus(RELATIVELY_NEF_ONLY, mu)
+
+    def __repr__(self) -> str:
+        lo, hi = self.domain
+        return f"RoofFunction(on [{lo}, {hi}], divisor={self.divisor!r})"
+
+
+class FloatRangeError(ValueError, OverflowError):
+    """Exact profile data that no float can hold. The singular catalog and
+    the distance checks work in floats, so such a family is refused when
+    it is built; as an OverflowError it is an arithmetic limit, not
+    malformed input."""
+
+
+def _require_float_range(place: Place, psi: ConcaveFn) -> None:
+    try:
+        for x in psi.breakpoints:
+            float(x)
+        for piece in psi.pieces:
+            float(piece.slope)
+            float(piece.intercept)
+    except OverflowError as exc:
+        raise FloatRangeError(
+            f"at {place}: exact profile data beyond float range"
+        ) from exc
+
+
 class AdelicFamily:
     """A divisor with finitely many non-canonical local profiles.
 
     With strict=True every exceptional profile must carry the divisor's
     asymptotic slopes (b toward -infinity, -a toward +infinity); pass
     strict=False to hold a slope-violating family, which downstream
-    classification reports as not relatively nef.
+    classification reports as not relatively nef. Every breakpoint, slope
+    and intercept of an exceptional profile must lie within float range
+    (FloatRangeError otherwise).
+
+    A family is read-only: `exceptions` is a read-only mapping and no
+    attribute can be set. So its roof and `singular_places` are computed
+    once, on first use.
     """
 
     def __init__(
@@ -91,40 +202,56 @@ class AdelicFamily:
         exceptions: Optional[Mapping[Place, ConcaveFn]] = None,
         strict: bool = True,
     ):
-        self.divisor = divisor
         canonical = canonical_fn(divisor)
         table: Dict[Place, ConcaveFn] = {}
         for place, psi in (exceptions or {}).items():
             if not isinstance(place, Place):
                 raise TypeError("exception keys must be places")
+            if not isinstance(psi, ConcaveFn):
+                raise TypeError("exception values must be concave profiles")
             if psi == canonical:
                 continue
+            _require_float_range(place, psi)
             table[place] = psi
-        self.exceptions: Dict[Place, ConcaveFn] = dict(
-            sorted(table.items(), key=lambda kv: kv[0].sort_key())
-        )
-        self._canonical = canonical
-        self.strict = strict
-        self.slope_valid = all(
-            _has_divisor_slopes(psi, divisor) for psi in self.exceptions.values()
-        )
-        if strict and not self.slope_valid:
+        slope_valid = all(_has_divisor_slopes(psi, divisor) for psi in table.values())
+        if strict and not slope_valid:
             raise ValueError(
                 "exceptional profile has wrong asymptotic slopes for the divisor"
             )
-        self.singular_places: Tuple[Place, ...] = tuple(
-            place
-            for place, psi in self.exceptions.items()
-            if not self.slope_valid
-            or sup_distance(psi, canonical) == math.inf
+        self.__dict__.update(
+            divisor=divisor,
+            canonical=canonical,
+            exceptions=MappingProxyType(
+                dict(sorted(table.items(), key=lambda kv: kv[0].sort_key()))
+            ),
+            strict=strict,
+            slope_valid=slope_valid,
         )
 
-    @property
-    def canonical(self) -> ConcaveFn:
-        return self._canonical
+    def __setattr__(self, name, value):
+        raise AttributeError("AdelicFamily is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError("AdelicFamily is read-only")
+
+    @cached_property
+    def singular_places(self) -> Tuple[Place, ...]:
+        """Exceptional places whose profile has the wrong asymptotic slopes
+        or lies at unbounded distance from the canonical one."""
+        return tuple(
+            place
+            for place, psi in self.exceptions.items()
+            if not self.slope_valid or sup_distance(psi, self.canonical) == math.inf
+        )
+
+    @cached_property
+    def _roof(self) -> RoofFunction:
+        # heights.roof is the entry point: it checks the slopes first
+        duals = [legendre_dual(psi) for psi in (self.canonical, *self.exceptions.values())]
+        return RoofFunction(duals, self.divisor)
 
     def psi_at(self, place: Place) -> ConcaveFn:
-        return self.exceptions.get(place, self._canonical)
+        return self.exceptions.get(place, self.canonical)
 
     def places(self) -> List[Place]:
         """Exceptional places in canonical order."""

@@ -1,92 +1,34 @@
-"""Roof functions, heights, energies, and nef classification.
+"""Heights, energies, and nef classification.
 
 Everything global here is a finite sum over places: the canonical profile
 contributes zero to duals and energies, so only the exceptional table and
-the support of the evaluation point ever enter a computation.
+the support of the evaluation point ever enter a computation. The roof
+route reads the one `RoofFunction` each family builds (family.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, Mapping, Tuple
 
-from ..convex_calculus.duality import DualFn, legendre_dual, sum_duals
 from ..convex_calculus.energy import _require_comparable, local_energy
 from ..divisorial_core.vectors import _to_fraction
-from .family import AdelicFamily, ToricCompactifiedDivisor
+from .family import (
+    NOT_RELATIVELY_NEF,
+    S_AMPLE,
+    S_NEF_ONLY,
+    AdelicFamily,
+    NefStatus,
+    Real,
+    RoofFunction,
+)
 from .places import LogLinear, Place, _valuation, log_abs, support
-
-Real = Union[Fraction, float]
-
-S_AMPLE = "S_ample"
-S_NEF_ONLY = "S_nef_only"
-RELATIVELY_NEF_ONLY = "relatively_nef_only"
-NOT_RELATIVELY_NEF = "not_relatively_nef"
-
-
-class RoofFunction:
-    """Concave function on [-a, b]: the sum of the local dual profiles.
-
-    It holds the dual at each place, the canonical one first and then the
-    exceptional places in order. Endpoint values, minimum, integral and
-    height are sums over places, O(N*k) for N places of k breakpoints,
-    exact rationals wherever the dual data is affine with rational
-    coefficients; endpoint singularities evaluate to -inf. The merged
-    function, `dual`, is built on first use by one sorted sweep.
-    """
-
-    def __init__(self, duals: Sequence[DualFn], divisor: ToricCompactifiedDivisor):
-        self.duals = tuple(duals)
-        self.divisor = divisor
-
-    @cached_property
-    def dual(self) -> DualFn:
-        return sum_duals(self.duals)
-
-    @property
-    def domain(self) -> Tuple[Real, Real]:
-        return (self.duals[0].lo, self.duals[0].hi)
-
-    def __call__(self, m) -> float:
-        return self.dual(m)
-
-    def value(self, m) -> Real:
-        return sum((d.value(m) for d in self.duals), Fraction(0))
-
-    def endpoints(self) -> Tuple[Real, Real]:
-        lo, hi = self.domain
-        return self.value(lo), self.value(hi)
-
-    def minimum(self) -> Real:
-        # concave on a closed interval, so the minimum sits at an endpoint
-        return min(self.endpoints())
-
-    def integral(self) -> Real:
-        return sum((d.integral() for d in self.duals), Fraction(0))
-
-    def height(self) -> Real:
-        """Twice the integral: the global height of the family."""
-        return 2 * self.integral()
-
-    def nef_status(self) -> "NefStatus":
-        """Classification by the sign of the minimum, decided exactly."""
-        mu = self.minimum()
-        if mu > 0:
-            return NefStatus(S_AMPLE, mu)
-        if mu == 0:
-            return NefStatus(S_NEF_ONLY, mu)
-        return NefStatus(RELATIVELY_NEF_ONLY, mu)
-
-    def __repr__(self) -> str:
-        lo, hi = self.domain
-        return f"RoofFunction(on [{lo}, {hi}], divisor={self.divisor!r})"
 
 
 def roof(family: AdelicFamily) -> RoofFunction:
-    """Pointwise sum of the dual profiles over all places.
+    """Pointwise sum of the dual profiles over all places: the family's one
+    roof, built on first use and read by every height and the nef verdict,
+    so roof(family) is roof(family).
 
     Only exceptional places contribute: the canonical dual vanishes
     identically on the divisor interval."""
@@ -95,9 +37,7 @@ def roof(family: AdelicFamily) -> RoofFunction:
             "profiles with wrong asymptotic slopes have mismatched dual "
             "domains; no roof"
         )
-    duals = [legendre_dual(family.canonical)]
-    duals += [legendre_dual(family.exceptions[place]) for place in family.places()]
-    return RoofFunction(duals, family.divisor)
+    return family._roof
 
 
 def global_height(family: AdelicFamily) -> Real:
@@ -213,15 +153,6 @@ def extended_height(ref: AdelicFamily, sing: AdelicFamily) -> Real:
     if energy == 0:
         return base
     return float(base) + energy
-
-
-@dataclass(frozen=True)
-class NefStatus:
-    """Classification by the sign of the roof minimum; mu_min_asy is that
-    minimum, or None when broken slopes leave no roof to measure."""
-
-    status: str
-    mu_min_asy: Optional[Real]
 
 
 def nef_status(family: AdelicFamily) -> NefStatus:

@@ -249,6 +249,8 @@ def decode_family(obj) -> AdelicFamily:
         raise SchemaError("strict must be a boolean")
     try:
         return AdelicFamily(div, table, strict=strict)
+    except OverflowError:
+        raise  # data beyond float range: an arithmetic limit, exit 3
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -157,17 +157,37 @@ class DualFn:
         affine with rational coefficients and every edge is rational, a
         float otherwise.
 
+        Twice the integral of each rational affine piece,
+        (b - a)*(slope*(a + b) + 2*intercept), goes into one exact sum,
+        halved at the end. A piece with power terms, a float edge or a
+        float coefficient is integrated in floats throughout.
+
         Endpoint singularities with exponent > -1 converge; at -1 and
         below the integral is -inf (positive divergence cannot occur for
         a concave dual, and would raise PositiveDivergenceError)."""
-        total: Union[Fraction, float] = Fraction(0)
+        twice_exact = Fraction(0)
         if self.is_degenerate():
-            return total
-        edges = [self.lo] + list(self.breakpoints) + [self.hi]
+            return twice_exact
+        inexact, any_float = 0.0, False
+        edges = (self.lo, *self.breakpoints, self.hi)
         for piece, a, b in zip(self.pieces, edges, edges[1:]):
-            total += piece.slope * (b * b - a * a) / 2 + piece.intercept * (b - a)
-            total += sum(_integrate_power_term(t, float(a), float(b)) for t in piece.terms)
-        return total
+            s, c = piece.slope, piece.intercept
+            if (
+                not piece.terms
+                and isinstance(a, Fraction)
+                and isinstance(b, Fraction)
+                and isinstance(s, Fraction)
+                and isinstance(c, Fraction)
+            ):
+                twice_exact += (b - a) * (s * (a + b) + 2 * c)
+                continue
+            any_float = True
+            a, b = float(a), float(b)
+            inexact += (b - a) * (float(s) * (a + b) / 2 + float(c))
+            inexact += sum(_integrate_power_term(t, a, b) for t in piece.terms)
+        if any_float:
+            return float(twice_exact) / 2 + inexact
+        return twice_exact / 2
 
 
 def _integrate_power_term(t: PowerTerm, a: float, b: float) -> float:

@@ -248,6 +248,8 @@ class SemilinearCone:
         too fast (7 generators in dimension 3 can give over 10^5 rows);
         callers there pass half-space rows instead.
         """
+        if any(len(g) != dim for g in gens):
+            raise ValueError("generator has wrong dimension")
         if dim not in (1, 2):
             raise NotImplementedError(
                 "from_generators is implemented only in dimension <= 2; "

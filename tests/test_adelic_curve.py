@@ -11,6 +11,7 @@ from adelic_heights.adelic_curve import (
     LogLinear,
     NefStatus,
     Place,
+    RoofFunction,
     ToricCompactifiedDivisor,
     abs_value,
     boundary_height,
@@ -28,6 +29,7 @@ from adelic_heights.adelic_curve import (
     support,
     twist,
 )
+from adelic_heights.adelic_curve import family as family_module
 from adelic_heights.adelic_curve import places
 from adelic_heights.cli import alpha_profile
 from adelic_heights.convex_calculus.duality import DualPiece, legendre_dual
@@ -292,11 +294,57 @@ class TestFamily:
         assert not loose.slope_valid
         assert loose.singular_places == (INF,)
 
-    def test_singular_flags(self):
+    def test_singular_flags(self, monkeypatch):
+        # building a family measures no distance; singular_places does, on
+        # first read
+        def refuse(psi, phi):
+            raise AssertionError("sup_distance called while building a family")
+
+        monkeypatch.setattr(family_module, "sup_distance", refuse)
         fam = alpha_family(F(1, 4))
-        assert fam.singular_places == (Place.prime(2),)
         shifted = twist(canonical_family(), {INF: 1})
+        monkeypatch.undo()
+        assert fam.singular_places == (Place.prime(2),)
         assert shifted.singular_places == ()
+
+    def test_exception_values_must_be_profiles(self):
+        with pytest.raises(TypeError, match="exception values must be concave profiles"):
+            AdelicFamily(hyperplane_divisor(), {Place.prime(2): "x"})
+
+    def test_family_is_read_only(self):
+        fam = alpha_family(F(1, 4))
+        assert fam.exceptions == {Place.prime(2): alpha_profile(F(1, 4))}
+        with pytest.raises(AttributeError, match="read-only"):
+            fam.divisor = ToricCompactifiedDivisor(1, 1)
+        with pytest.raises(AttributeError, match="read-only"):
+            fam.strict = False
+        with pytest.raises(AttributeError, match="read-only"):
+            del fam.exceptions
+        with pytest.raises(TypeError):
+            fam.exceptions[INF] = alpha_profile(F(1, 3))
+        assert fam.places() == [Place.prime(2)]
+        assert fam.divisor == hyperplane_divisor() and fam.strict
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            canonical_fn(hyperplane_divisor()).shift(F(10**400)),
+            ConcaveFn([F(10**400)], [AffinePiece(1, 0), AffinePiece(0, F(10**400))]),
+        ],
+        ids=["intercept", "breakpoint"],
+    )
+    def test_exact_data_beyond_float_range_is_rejected(self, psi):
+        with pytest.raises(ValueError, match=r"at Place\(3\): .*float range") as info:
+            AdelicFamily(hyperplane_divisor(), {Place.prime(3): psi})
+        # an arithmetic limit too: the CLI exits 3 on it, not 2
+        assert isinstance(info.value, OverflowError)
+
+    def test_exact_data_below_float_resolution_is_kept(self):
+        tiny = F(1, 10**400)
+        fam = AdelicFamily(
+            hyperplane_divisor(), {Place.prime(3): canonical_fn(hyperplane_divisor()).shift(tiny)}
+        )
+        assert global_height(fam) == -2 * tiny
 
     def test_strongly_nef_local_check(self):
         d = hyperplane_divisor()
@@ -466,6 +514,58 @@ class TestRoofSweep:
             assert piece.terms == tuple(t for d in duals for t in d.piece_at(m).terms)
         exponents = [-float(a) / float(1 - a) for a in (F(1, 4), F(1, 3), F(1, 5))]
         assert [t.exponent for t in merged.pieces[-1].terms] == exponents
+
+
+class TestRoofCache:
+    """A family builds its per-place duals once, on first use, and every
+    height and the nef verdict read that one roof."""
+
+    def test_duals_built_once(self, monkeypatch):
+        calls = []
+
+        def counting_dual(psi):
+            calls.append(psi)
+            return legendre_dual(psi)
+
+        monkeypatch.setattr(family_module, "legendre_dual", counting_dual)
+        rng = random.Random(11)
+        places = [Place.prime(p) for p in (2, 3, 5, 7, 11, 13)]
+        fam = AdelicFamily(hyperplane_divisor(), {p: bounded_profile(rng) for p in places})
+        n = len(fam.places())
+        assert n >= 4
+        global_height(fam)
+        nef_status(fam)
+        boundary_height(fam, "zero")
+        boundary_height(fam, "infinity")
+        assert len(calls) == n + 1
+        assert roof(fam) is roof(fam)
+
+    def test_twist_builds_a_fresh_roof(self):
+        divisor = ToricCompactifiedDivisor(1, 2)
+        fam = AdelicFamily(divisor, {Place.prime(3): canonical_fn(divisor).shift(F(1, 3))})
+        before = global_height(fam)
+        c = {INF: F(1, 2), Place.prime(3): F(-1, 5), Place.prime(7): F(2, 9)}
+        twisted = twist(fam, c)
+        assert twisted is not fam and roof(twisted) is not roof(fam)
+        assert global_height(twisted) - before == 2 * divisor.degree * sum(c.values())
+        assert global_height(fam) == before
+
+    @given(
+        st.lists(near_colliding_profiles([F(1, 3), F(1, 2)], max_inner=3), min_size=1, max_size=4)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cached_roof_matches_a_roof_built_directly(self, profiles):
+        places = [Place.prime(p) for p in (2, 3, 5, 7)]
+        fam = AdelicFamily(hyperplane_divisor(), dict(zip(places, profiles)))
+        nef_status(fam)  # fills the cache
+        theta = roof(fam)
+        direct = RoofFunction(
+            [legendre_dual(psi) for psi in (fam.canonical, *fam.exceptions.values())],
+            fam.divisor,
+        )
+        assert theta.height() == direct.height()
+        assert theta.endpoints() == direct.endpoints()
+        assert all(isinstance(v, F) for v in (theta.height(), *theta.endpoints()))
 
 
 class TestHeights:

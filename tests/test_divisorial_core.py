@@ -85,6 +85,11 @@ class TestCones:
         for p in [V([7, -3]), V([-2, 5]), V([0, -1])]:
             assert full.contains(p)
 
+    @pytest.mark.parametrize("coords", [[1, 2, 3], [1]])
+    def test_generator_of_wrong_dimension_is_rejected(self, coords):
+        with pytest.raises(ValueError, match="dimension"):
+            SemilinearCone.from_generators([V([1, 1]), V(coords)], 2)
+
     def test_generated_ray_and_line(self):
         ray = SemilinearCone.from_generators([V([2, 4])], 2)
         assert ray.contains(V([1, 2]))
