@@ -11,7 +11,6 @@ duals that every height and the nef verdict read, on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -23,7 +22,7 @@ from ..convex_calculus.functions import (
     ConcaveFn,
     sup_distance,
 )
-from ..divisorial_core.vectors import _to_fraction
+from ..scalars import _to_fraction
 from .places import Place
 
 Real = Union[Fraction, float]
@@ -47,6 +46,9 @@ class ToricCompactifiedDivisor:
         object.__setattr__(self, "b", b)
 
     def __setattr__(self, name, value):
+        raise AttributeError("ToricCompactifiedDivisor is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("ToricCompactifiedDivisor is immutable")
 
     @property
@@ -89,13 +91,34 @@ def strongly_nef_local_check(
     return strongly_nef, non_singular
 
 
-@dataclass(frozen=True)
 class NefStatus:
     """Classification by the sign of the roof minimum; mu_min_asy is that
     minimum, or None when broken slopes leave no roof to measure."""
 
-    status: str
-    mu_min_asy: Optional[Real]
+    __slots__ = ("status", "mu_min_asy")
+
+    def __init__(self, status: str, mu_min_asy: Optional[Real]):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "mu_min_asy", mu_min_asy)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NefStatus is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("NefStatus is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, NefStatus)
+            and self.status == other.status
+            and self.mu_min_asy == other.mu_min_asy
+        )
+
+    def __hash__(self):
+        return hash((self.status, self.mu_min_asy))
+
+    def __repr__(self) -> str:
+        return f"NefStatus(status={self.status!r}, mu_min_asy={self.mu_min_asy!r})"
 
 
 class RoofFunction:

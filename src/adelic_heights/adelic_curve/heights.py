@@ -12,7 +12,7 @@ import math
 from typing import Iterator, Mapping, Tuple
 
 from ..convex_calculus.energy import _require_comparable, local_energy
-from ..divisorial_core.vectors import _to_fraction
+from ..scalars import _to_fraction
 from .family import (
     NOT_RELATIVELY_NEF,
     S_AMPLE,
@@ -120,7 +120,7 @@ def _at_place(place: Place, fn, psi, phi):
 
 def place_energies(
     ref: AdelicFamily, sing: AdelicFamily
-) -> Iterator[Tuple[Place, float]]:
+) -> Iterator[Tuple[Place, Real]]:
     """(place, local energy) at each place where the two profiles differ,
     in canonical order; each energy is finite or -inf.
 
@@ -130,10 +130,11 @@ def place_energies(
         yield place, _at_place(place, local_energy, psi, phi)
 
 
-def global_energy(ref: AdelicFamily, sing: AdelicFamily) -> float:
-    """Sum of the place energies, finite or -inf. Places after the first
-    -inf only have the precondition checked, so place order is irrelevant."""
-    total = 0.0
+def global_energy(ref: AdelicFamily, sing: AdelicFamily) -> Real:
+    """Sum of the place energies, finite or -inf, and exact on
+    piecewise-affine rational data. Places after the first -inf only have
+    the precondition checked, so place order is irrelevant."""
+    total = 0
     for place, psi, phi in _unequal_places(ref, sing):
         if total == -math.inf:
             _at_place(place, _require_comparable, psi, phi)
@@ -144,15 +145,13 @@ def global_energy(ref: AdelicFamily, sing: AdelicFamily) -> float:
 
 def extended_height(ref: AdelicFamily, sing: AdelicFamily) -> Real:
     """Height of a possibly singular family through an energy-regularized
-    reference: global_height(ref) + global_energy(ref, sing)."""
+    reference: global_height(ref) + global_energy(ref, sing), exact on
+    piecewise-affine rational data."""
     theta = roof(ref) if ref.slope_valid else None
     if theta is None or theta.nef_status().status not in (S_AMPLE, S_NEF_ONLY):
         raise ValueError("reference family is not arithmetically nef")
     base = theta.height()
-    energy = global_energy(ref, sing)
-    if energy == 0:
-        return base
-    return float(base) + energy
+    return base + global_energy(ref, sing)
 
 
 def nef_status(family: AdelicFamily) -> NefStatus:

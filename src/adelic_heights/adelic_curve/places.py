@@ -8,12 +8,11 @@ certify exactly instead of within floating-point error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..divisorial_core.vectors import _to_fraction
+from ..scalars import _to_fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -196,16 +195,28 @@ def _factor(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-@dataclass(frozen=True, order=False)
 class Place:
     """A prime p, or None for the archimedean place."""
 
-    p: Optional[int] = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not isinstance(self.p, int) or not isprime(self.p):
-                raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: Optional[int] = None):
+        if p is not None:
+            if not isinstance(p, int) or not isprime(p):
+                raise ValueError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Place is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Place is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Place) and self.p == other.p
+
+    def __hash__(self):
+        return hash(self.p)
 
     @property
     def is_infinite(self) -> bool:
@@ -243,6 +254,9 @@ class LogLinear:
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, name, value):
+        raise AttributeError("LogLinear is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("LogLinear is immutable")
 
     def __add__(self, other: "LogLinear") -> "LogLinear":

@@ -2,8 +2,9 @@
 height/energy/duality machinery, and emit JSON or CSV reports.
 
 Exit codes: 0 success (-inf is a value, not an error), 2 malformed input
-(non-finite numbers included), 3 precondition violation or arithmetic
-failure, 4 positive divergence.
+(non-finite numbers included), an unreadable --input or an unwritable
+--out, 3 precondition violation or arithmetic failure, 4 positive
+divergence.
 """
 
 from __future__ import annotations
@@ -36,16 +37,7 @@ from .convex_calculus.measures import (
     PositiveDivergenceError,
     monge_ampere,
 )
-from .divisorial_core.cones import (
-    Cell,
-    Constraint,
-    DivisorialSpace,
-    SemilinearCone,
-    d_b,
-)
-from .divisorial_core.completion import CompletionElement
-from .divisorial_core.intersection import IntersectionMap, extend_intersection
-from .divisorial_core.vectors import RationalVector, _num, _to_fraction
+from .scalars import _num, _to_fraction
 
 Number = Union[int, float, Fraction]
 
@@ -59,7 +51,8 @@ MAX_GRID_POINTS = 10_000
 
 
 class SchemaError(ValueError):
-    """Input does not match the documented JSON schemas."""
+    """Input does not match the documented JSON schemas, or an --input or
+    --out path cannot be read or written: exit 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +310,11 @@ def load_input(raw: Optional[str]):
         raise SchemaError("this command requires --input")
     text = raw
     if not raw.lstrip().startswith(("{", "[")) and os.path.exists(raw):
-        with open(raw, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(raw, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SchemaError(f"cannot read input {raw}: {exc.strerror or exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -372,7 +368,7 @@ def cmd_energy(args) -> dict:
     sing = decode_family(obj["singular"])
     terms = list(place_energies(ref, sing))
     return {
-        "energy": encode_number(sum((e for _, e in terms), 0.0)),
+        "energy": encode_number(sum(e for _, e in terms)),
         "per_place": [
             {"place": encode_place(place), "energy": encode_number(e)}
             for place, e in terms
@@ -495,6 +491,19 @@ def cmd_plot(args) -> List[List[str]]:
 
 
 def cmd_core_demo(args) -> dict:
+    # the one command that needs the divisorial core, so only it loads it
+    from .divisorial_core import (
+        Cell,
+        CompletionElement,
+        Constraint,
+        DivisorialSpace,
+        IntersectionMap,
+        RationalVector,
+        SemilinearCone,
+        d_b,
+        extend_intersection,
+    )
+
     F = Fraction
     V = RationalVector
     quadrant = SemilinearCone.from_halfspaces(((1, 0), (0, 1)), 2)
@@ -557,8 +566,11 @@ def render(payload, fmt: str) -> str:
 
 def write_output(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write output {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -630,6 +642,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = HANDLERS[args.command](args)
+        write_output(render(payload, args.fmt), args.out)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -639,7 +652,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    write_output(render(payload, args.fmt), args.out)
     return EXIT_OK
 
 

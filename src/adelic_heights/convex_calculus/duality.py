@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from typing import List, Sequence, Tuple, Union
 
-from ..divisorial_core.vectors import _num, _to_fraction
+from ..scalars import _num, _to_fraction
 from .functions import AffinePiece, AlphaPiece, ConcaveFn, Number, _bisect_root
 from .measures import PositiveDivergenceError
 
@@ -32,13 +31,21 @@ def _above(x: Number, y: Number) -> bool:
     return float(x) > float(y)
 
 
-@dataclass(frozen=True)
 class PowerTerm:
     """coeff * (center - m) ** exponent, singular only as m -> center."""
 
-    coeff: float
-    exponent: float
-    center: Number
+    __slots__ = ("coeff", "exponent", "center")
+
+    def __init__(self, coeff: float, exponent: float, center: Number):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "center", center)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PowerTerm is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PowerTerm is immutable")
 
     def value(self, m: float) -> float:
         base = float(self.center) - m
@@ -60,17 +67,39 @@ class PowerTerm:
         except (ZeroDivisionError, OverflowError):
             return math.copysign(math.inf, k)
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PowerTerm)
+            and self.coeff == other.coeff
+            and self.exponent == other.exponent
+            and self.center == other.center
+        )
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash((self.coeff, self.exponent, self.center))
+
+    def __repr__(self) -> str:
+        return (
+            f"PowerTerm(coeff={self.coeff!r}, exponent={self.exponent!r}, "
+            f"center={self.center!r})"
+        )
+
+
 class DualPiece:
-    slope: Number
-    intercept: Number
-    terms: Tuple[PowerTerm, ...] = ()
+    """slope*m + intercept plus the power terms."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "slope", _num(self.slope))
-        object.__setattr__(self, "intercept", _num(self.intercept))
-        object.__setattr__(self, "terms", tuple(self.terms))
+    __slots__ = ("slope", "intercept", "terms")
+
+    def __init__(self, slope: Number, intercept: Number, terms: Sequence[PowerTerm] = ()):
+        object.__setattr__(self, "slope", _num(slope))
+        object.__setattr__(self, "intercept", _num(intercept))
+        object.__setattr__(self, "terms", tuple(terms))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DualPiece is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DualPiece is immutable")
 
     def value(self, m) -> float:
         v = float(self.slope) * float(m) + float(self.intercept)
@@ -87,10 +116,30 @@ class DualPiece:
             v += t.derivative(float(m))
         return v
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, DualPiece)
+            and self.slope == other.slope
+            and self.intercept == other.intercept
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.slope, self.intercept, self.terms))
+
+    def __repr__(self) -> str:
+        return (
+            f"DualPiece(slope={self.slope!r}, intercept={self.intercept!r}, "
+            f"terms={self.terms!r})"
+        )
+
 
 class DualFn:
     """Concave function on [lo, hi] (a slope interval), piecewise affine
-    plus power profiles; values -inf are allowed at the endpoints."""
+    plus power profiles; values -inf are allowed at the endpoints.
+    Read-only, like the profiles it is the dual of."""
+
+    __slots__ = ("lo", "hi", "breakpoints", "pieces")
 
     def __init__(
         self,
@@ -99,10 +148,10 @@ class DualFn:
         breakpoints: Sequence[Number],
         pieces: Sequence[DualPiece],
     ):
-        self.lo = _num(lo)
-        self.hi = _num(hi)
-        self.breakpoints = tuple(_num(b) for b in breakpoints)
-        self.pieces = tuple(pieces)
+        object.__setattr__(self, "lo", _num(lo))
+        object.__setattr__(self, "hi", _num(hi))
+        object.__setattr__(self, "breakpoints", tuple(_num(b) for b in breakpoints))
+        object.__setattr__(self, "pieces", tuple(pieces))
         if self.lo > self.hi:
             raise ValueError("empty dual domain")
         if self.is_degenerate():
@@ -114,6 +163,12 @@ class DualFn:
         knots = (self.lo, *self.breakpoints, self.hi)
         if any(b2 <= b1 for b1, b2 in zip(knots, knots[1:])):
             raise ValueError("dual breakpoints must increase inside the domain")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DualFn is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError("DualFn is read-only")
 
     def is_degenerate(self) -> bool:
         return self.lo == self.hi

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..divisorial_core.vectors import _num, _to_fraction
+from ..scalars import _num, _to_fraction
 
 Number = Union[int, Fraction, float]
 
@@ -27,14 +26,20 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-8 + 1e-8 * max(abs(a), abs(b))
 
 
-@dataclass(frozen=True)
 class AffinePiece:
-    slope: Number
-    intercept: Number
+    """slope*u + intercept."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "slope", _num(self.slope))
-        object.__setattr__(self, "intercept", _num(self.intercept))
+    __slots__ = ("slope", "intercept")
+
+    def __init__(self, slope: Number, intercept: Number):
+        object.__setattr__(self, "slope", _num(slope))
+        object.__setattr__(self, "intercept", _num(intercept))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AffinePiece is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AffinePiece is immutable")
 
     def value(self, u):
         return self.slope * u + self.intercept
@@ -49,21 +54,38 @@ class AffinePiece:
     def alpha_term(self):
         return None
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, AffinePiece)
+            and self.slope == other.slope
+            and self.intercept == other.intercept
+        )
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash((self.slope, self.intercept))
+
+    def __repr__(self) -> str:
+        return f"AffinePiece(slope={self.slope!r}, intercept={self.intercept!r})"
+
+
 class AlphaPiece:
     """slope*u + intercept + (1/alpha)*(1-u)**alpha, on intervals with u <= 0."""
 
-    alpha: Number
-    slope: Number
-    intercept: Number
+    __slots__ = ("alpha", "slope", "intercept")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _num(self.alpha))
-        object.__setattr__(self, "slope", _num(self.slope))
-        object.__setattr__(self, "intercept", _num(self.intercept))
-        if not 0 < self.alpha < 1:
+    def __init__(self, alpha: Number, slope: Number, intercept: Number):
+        alpha, slope, intercept = _num(alpha), _num(slope), _num(intercept)
+        if not 0 < alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "intercept", intercept)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlphaPiece is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AlphaPiece is immutable")
 
     def value(self, u) -> float:
         a = float(self.alpha)
@@ -83,6 +105,23 @@ class AlphaPiece:
         # coefficient of (1-u)**alpha is pinned to 1/alpha in this catalog
         return (1.0 / float(self.alpha), float(self.alpha))
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, AlphaPiece)
+            and self.alpha == other.alpha
+            and self.slope == other.slope
+            and self.intercept == other.intercept
+        )
+
+    def __hash__(self):
+        return hash((self.alpha, self.slope, self.intercept))
+
+    def __repr__(self) -> str:
+        return (
+            f"AlphaPiece(alpha={self.alpha!r}, slope={self.slope!r}, "
+            f"intercept={self.intercept!r})"
+        )
+
 
 Piece = Union[AffinePiece, AlphaPiece]
 
@@ -94,13 +133,14 @@ Piece = Union[AffinePiece, AlphaPiece]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Expr:
     """Power terms have nonzero coefficients and distinct exponents."""
 
-    slope: Number
-    intercept: Number
-    terms: Tuple[Tuple[float, float], ...]  # (coeff, exponent) of (1-u)**e
+    __slots__ = ("slope", "intercept", "terms")
+
+    def __init__(self, slope: Number, intercept: Number, terms: Tuple[Tuple[float, float], ...]):
+        self.slope, self.intercept = slope, intercept
+        self.terms = terms  # (coeff, exponent) of (1-u)**e
 
     @staticmethod
     def difference(p: Piece, q: Piece) -> "_Expr":
@@ -263,8 +303,11 @@ class ConcaveFn:
     ends). Continuity and concavity are validated on construction: exactly
     where both sides are affine with rational coefficients, numerically
     against the closed forms otherwise. Identical adjacent pieces are
-    merged.
+    merged. A profile is read-only, so a family that has read it can keep
+    what it computed from it.
     """
+
+    __slots__ = ("breakpoints", "pieces")
 
     def __init__(self, breakpoints: Sequence, pieces: Sequence[Piece]):
         bps = [_to_fraction(b) for b in breakpoints]
@@ -274,9 +317,15 @@ class ConcaveFn:
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         bps, pieces = self._merge(bps, pieces)
-        self.breakpoints: Tuple[Fraction, ...] = tuple(bps)
-        self.pieces: Tuple[Piece, ...] = tuple(pieces)
+        object.__setattr__(self, "breakpoints", tuple(bps))
+        object.__setattr__(self, "pieces", tuple(pieces))
         self._validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConcaveFn is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError("ConcaveFn is read-only")
 
     @staticmethod
     def _merge(bps, pieces):

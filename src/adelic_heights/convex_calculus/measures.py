@@ -10,11 +10,10 @@ leading divergent exponent decides which.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..divisorial_core.vectors import _to_fraction
+from ..scalars import _to_fraction
 from .functions import (
     AlphaPiece,
     ConcaveFn,
@@ -30,7 +29,6 @@ class PositiveDivergenceError(ValueError):
     """An integral diverges to +infinity; no value can be returned."""
 
 
-@dataclass(frozen=True)
 class DensityPiece:
     """Density coeff*(1-u)**exponent du on [lo, hi]; lo of None means -inf.
 
@@ -38,18 +36,43 @@ class DensityPiece:
     smooth and positive powers of (1-u) stay >= 1 on the interval.
     """
 
-    lo: Optional[Fraction]
-    hi: Fraction
-    coeff: float
-    exponent: float
+    __slots__ = ("lo", "hi", "coeff", "exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", None if self.lo is None else _to_fraction(self.lo))
-        object.__setattr__(self, "hi", _to_fraction(self.hi))
-        if self.lo is not None and self.lo >= self.hi:
+    def __init__(self, lo: Optional[Fraction], hi: Fraction, coeff: float, exponent: float):
+        lo = None if lo is None else _to_fraction(lo)
+        hi = _to_fraction(hi)
+        if lo is not None and lo >= hi:
             raise ValueError("empty density interval")
-        if self.exponent != 0 and self.hi > 0:
+        if exponent != 0 and hi > 0:
             raise ValueError("singular density requires right endpoint <= 0")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DensityPiece is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DensityPiece is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, DensityPiece)
+            and self.lo == other.lo
+            and self.hi == other.hi
+            and self.coeff == other.coeff
+            and self.exponent == other.exponent
+        )
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.coeff, self.exponent))
+
+    def __repr__(self) -> str:
+        return (
+            f"DensityPiece(lo={self.lo!r}, hi={self.hi!r}, "
+            f"coeff={self.coeff!r}, exponent={self.exponent!r})"
+        )
 
     def density(self, u: float) -> float:
         return self.coeff * (1.0 - u) ** self.exponent
@@ -109,26 +132,45 @@ def _expr_times_density_terms(
     return out
 
 
-@dataclass(frozen=True)
 class Measure1D:
     """Nonnegative measure: finitely many atoms plus catalog densities."""
 
-    atoms: Tuple[Tuple[Fraction, Number], ...] = ()
-    densities: Tuple[DensityPiece, ...] = ()
+    __slots__ = ("atoms", "densities")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "atoms",
-            tuple((_to_fraction(loc), m) for loc, m in self.atoms),
-        )
-        object.__setattr__(self, "densities", tuple(self.densities))
-        for _, m in self.atoms:
+    def __init__(
+        self,
+        atoms: Sequence[Tuple[Fraction, Number]] = (),
+        densities: Sequence[DensityPiece] = (),
+    ):
+        atoms = tuple((_to_fraction(loc), m) for loc, m in atoms)
+        densities = tuple(densities)
+        for _, m in atoms:
             if m < 0:
                 raise ValueError("atom masses must be nonnegative")
-        for d in self.densities:
+        for d in densities:
             if d.coeff < 0:
                 raise ValueError("density coefficients must be nonnegative")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "densities", densities)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Measure1D is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Measure1D is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Measure1D)
+            and self.atoms == other.atoms
+            and self.densities == other.densities
+        )
+
+    def __hash__(self):
+        return hash((self.atoms, self.densities))
+
+    def __repr__(self) -> str:
+        return f"Measure1D(atoms={self.atoms!r}, densities={self.densities!r})"
 
     @property
     def total_mass(self) -> Union[Fraction, float]:
@@ -170,10 +212,12 @@ def integrate_against(
     pair: Tuple[ConcaveFn, ConcaveFn],
     mu: Measure1D,
     method: str = "exact",
-) -> float:
+) -> Union[Fraction, float]:
     """Integral of f - g against mu.
 
-    Atoms are summed directly. With method "exact", density pieces
+    Atoms are summed directly: the sum is a Fraction while every mass and
+    both pieces at every atom are rational, and there are no densities.
+    With method "exact", density pieces
     integrate in closed form through the power catalog; with method
     "quad", by double-exponential quadrature to QUAD_TOL (see _quad_piece,
     whose divergence verdict is approximate). A negatively divergent
@@ -183,9 +227,10 @@ def integrate_against(
     if method not in ("exact", "quad"):
         raise ValueError(f"unknown method {method!r}")
     f, g = pair
-    total = 0.0
+    total = 0
     for loc, m in mu.atoms:
-        total += float(m) * (f(loc) - g(loc))
+        # exact wherever the mass and both pieces are
+        total += m * (f.piece_at(loc).value(loc) - g.piece_at(loc).value(loc))
     for piece in mu.densities:
         for lo, hi, _, fp, gp in _pair_walk(f, g, lo=piece.lo, hi=piece.hi):
             expr = _Expr.difference(fp, gp)
@@ -283,11 +328,14 @@ def integrate_measure(fn: Callable[[float], float], mu: Measure1D, tol: float = 
     return total
 
 
-@dataclass
 class WeakConvergenceReport:
-    fn_gaps: List[List[float]] = field(default_factory=list)
-    mass_gaps: List[float] = field(default_factory=list)
-    tol: float = 0.0
+    """Per test function, the gaps along the sequence; the total-mass gaps;
+    and the tolerance the verdicts read them against."""
+
+    __slots__ = ("fn_gaps", "mass_gaps", "tol")
+
+    def __init__(self, fn_gaps: List[List[float]], mass_gaps: List[float], tol: float):
+        self.fn_gaps, self.mass_gaps, self.tol = fn_gaps, mass_gaps, tol
 
     @property
     def vague_pass(self) -> bool:
@@ -310,11 +358,10 @@ def weak_convergence_check(
 ) -> WeakConvergenceReport:
     """Gap report for weak convergence: vague gaps against the test
     functions together with total-mass gaps (weak = vague + masses)."""
-    report = WeakConvergenceReport(tol=tol)
-    limits = [integrate_measure(fn, mu) for fn in test_fns]
-    for fn, lim in zip(test_fns, limits):
-        gaps = [abs(integrate_measure(fn, m) - lim) for m in mu_seq]
-        report.fn_gaps.append(gaps)
+    fn_gaps = []
+    for fn in test_fns:
+        lim = integrate_measure(fn, mu)
+        fn_gaps.append([abs(integrate_measure(fn, m) - lim) for m in mu_seq])
     mass = mu.total_mass
-    report.mass_gaps = [abs(m.total_mass - mass) for m in mu_seq]
-    return report
+    mass_gaps = [abs(m.total_mass - mass) for m in mu_seq]
+    return WeakConvergenceReport(fn_gaps, mass_gaps, tol)

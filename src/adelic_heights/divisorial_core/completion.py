@@ -6,7 +6,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .cones import DivisorialSpace, d_b
-from .vectors import RationalVector, _to_fraction
+from ..scalars import _to_fraction
+from .vectors import RationalVector
 
 _SPOT_EPS = (Fraction(1), Fraction(1, 10), Fraction(1, 100))
 

@@ -11,22 +11,27 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .vectors import RationalVector, _to_fraction
+from ..scalars import _to_fraction
+from .vectors import RationalVector
 
 
-@dataclass(frozen=True)
 class Constraint:
     """Homogeneous half-space condition row . x >= 0 (or > 0 when strict)."""
 
-    row: tuple
-    strict: bool = False
+    __slots__ = ("row", "strict")
 
-    def __post_init__(self):
-        object.__setattr__(self, "row", tuple(_to_fraction(c) for c in self.row))
+    def __init__(self, row: Iterable, strict: bool = False):
+        object.__setattr__(self, "row", tuple(_to_fraction(c) for c in row))
+        object.__setattr__(self, "strict", strict)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Constraint is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Constraint is immutable")
 
     def value(self, x: RationalVector) -> Fraction:
         return sum((r * c for r, c in zip(self.row, x)), Fraction(0))
@@ -35,21 +40,48 @@ class Constraint:
         v = self.value(x)
         return v > 0 if self.strict else v >= 0
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Constraint)
+            and self.row == other.row
+            and self.strict == other.strict
+        )
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash((self.row, self.strict))
+
+    def __repr__(self) -> str:
+        return f"Constraint(row={self.row!r}, strict={self.strict!r})"
+
+
 class Cell:
     """Intersection of finitely many homogeneous constraints."""
 
-    constraints: tuple
+    __slots__ = ("constraints",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+    def __init__(self, constraints: Iterable[Constraint]):
+        object.__setattr__(self, "constraints", tuple(constraints))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Cell is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Cell is immutable")
 
     def contains(self, x: RationalVector) -> bool:
         return all(c.satisfied(x) for c in self.constraints)
 
     def relaxed(self) -> "Cell":
         return Cell(tuple(Constraint(c.row, strict=False) for c in self.constraints))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Cell) and self.constraints == other.constraints
+
+    def __hash__(self):
+        return hash(self.constraints)
+
+    def __repr__(self) -> str:
+        return f"Cell(constraints={self.constraints!r})"
 
 
 # ---------------------------------------------------------------------------

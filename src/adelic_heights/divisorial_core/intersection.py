@@ -9,7 +9,8 @@ from typing import Dict, Sequence, Tuple
 
 from .cones import DivisorialSpace
 from .completion import CompletionElement
-from .vectors import RationalVector, _to_fraction
+from ..scalars import _to_fraction
+from .vectors import RationalVector
 
 
 class AdmissibilityError(ValueError):

@@ -2,41 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
+from ..scalars import _to_fraction
+
 Scalar = Union[int, Fraction]
-
-
-def _num(x) -> Union[Fraction, float]:
-    """The one scalar coercion: ints and strings become exact Fractions,
-    Fractions and finite floats pass through. Bools, non-finite floats and
-    unparseable strings raise ValueError; other types raise TypeError."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, float) and math.isfinite(x):
-        return x
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"bad rational literal {x!r}") from exc
-    if isinstance(x, (bool, float)):
-        raise ValueError(f"expected a finite number, got {x!r}")
-    raise TypeError(f"expected a number, got {type(x).__name__}")
-
-
-def _to_fraction(x) -> Fraction:
-    """_num, with finite floats converted exactly; callers wanting a
-    decimal literal should pass a string."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    return Fraction(_num(x))
 
 
 class RationalVector:
@@ -52,6 +23,9 @@ class RationalVector:
         object.__setattr__(self, "coords", tuple(_to_fraction(c) for c in coords))
 
     def __setattr__(self, name, value):
+        raise AttributeError("RationalVector is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("RationalVector is immutable")
 
     @property

@@ -725,6 +725,20 @@ class TestExtendedHeight:
         fam = twist(canonical_family(), {INF: 2})
         assert extended_height(fam, fam) == global_height(fam) == 4
 
+    @given(
+        st.lists(near_colliding_profiles([F(1, 3), F(1, 2)], max_inner=3), min_size=1, max_size=3),
+        st.fractions(0, 3, max_denominator=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_energy_route_is_exact_on_rational_families(self, profiles, lift):
+        # the two routes share no code, and on rational data both are exact
+        places = [Place.prime(p) for p in (2, 3, 5)]
+        sing = AdelicFamily(hyperplane_divisor(), dict(zip(places, profiles)))
+        ref = twist(canonical_family(), {INF: lift})
+        energy_route = extended_height(ref, sing)
+        assert isinstance(energy_route, F)
+        assert energy_route == global_height(sing)
+
     def test_ample_reference(self):
         # reference lifted above zero stays a valid base point
         ref = twist(canonical_family(), {INF: 1})

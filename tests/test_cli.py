@@ -323,6 +323,17 @@ class TestEnergyCommand:
         for entry in payload["per_place"]:
             assert entry["energy"] == pytest.approx(2.0)
 
+    def test_rational_energy_is_exact(self, capsys):
+        third = with_params(RAMP, intercept="-1/3")
+        payload = run_json(
+            capsys,
+            "energy",
+            "--input",
+            json.dumps({"reference": CANONICAL, "singular": family_of(third)}),
+        )
+        assert payload["energy"] == "2/3"
+        assert payload["per_place"] == [{"place": 2, "energy": "2/3"}]
+
     def test_divergent_energy_is_a_value(self, capsys):
         half = json.loads(json.dumps(ALPHA_PSI))
         half["pieces"][0]["params"]["alpha"] = "1/2"
@@ -540,6 +551,14 @@ EXIT_CASES = [(i, argv, 2) for i, argv in enumerate(FINITE_ONLY)] + [
     # finite input whose height overflows: positive divergence
     (24, ("height", "--input", json.dumps(family_of(with_params(RAMP, intercept=-1.5e308)))), 4),
 ]
+# an unreadable --input or an unwritable --out: exit 2 with a one-line error
+HERE = str(Path(__file__).resolve().parent)
+IO_ERRORS = [
+    ("product-formula", "12/5", "--out", os.path.join(HERE, "no-such-dir", "x.json")),
+    ("product-formula", "12/5", "--out", HERE),
+    ("height", "--input", HERE),
+]
+EXIT_CASES += [(25 + i, argv, 2) for i, argv in enumerate(IO_ERRORS)]
 
 
 class TestInputRobustness:
@@ -553,6 +572,9 @@ class TestInputRobustness:
         assert code == 0 or err.startswith("error: ")
         if argv in NON_FINITE_PARAMS:
             assert "finite" in err  # named as such, not caught by accident
+        if argv in IO_ERRORS:
+            assert err.startswith(("error: cannot read input ", "error: cannot write output "))
+            assert err.count("\n") == 1
 
 
 class TestPlumbing:
@@ -608,6 +630,45 @@ class TestPlumbing:
             if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "adelic_heights"
         ]
         assert foreign == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("height", "--input", json.dumps(ALPHA_FAMILY)),
+            ("energy", "--input", json.dumps({"reference": CANONICAL, "singular": ALPHA_FAMILY})),
+            ("dual", "--input", json.dumps(ALPHA_PSI), "--grid=0:1:3"),
+            ("ma", "--input", json.dumps(ALPHA_PSI)),
+            ("nef-check", "--input", json.dumps(ALPHA_FAMILY)),
+            ("product-formula", "12/5"),
+            ("example-alpha", "--alpha", "1/4"),
+            ("plot", "--input", json.dumps(ALPHA_FAMILY), "--grid=0:1:3"),
+            ("core-demo",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_subcommand_loads_only_its_layers(self, argv):
+        """Start-up cost: no subcommand loads dataclasses or inspect, and
+        only core-demo loads the divisorial core's cones, completions and
+        pairings."""
+        src_root = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {src_root!r})\n"
+            "from adelic_heights.cli import main\n"
+            f"code = main({list(argv)!r})\n"
+            "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+        )
+        exit_code, loaded = json.loads(proc.stderr.splitlines()[-1])
+        assert exit_code == 0
+        assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+        core = {f"adelic_heights.divisorial_core.{m}" for m in ("cones", "completion", "intersection")}
+        if argv[0] == "core-demo":
+            assert core <= set(loaded)
+        else:
+            assert core.isdisjoint(loaded)
 
     def test_readme_names_every_option(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

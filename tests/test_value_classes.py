@@ -1,0 +1,210 @@
+"""The value classes of every layer: equality and hashing over their
+fields, the normalisation each constructor applies, immutability, and the
+star-import surface of each layer."""
+
+import importlib
+from fractions import Fraction as F
+
+import pytest
+
+from adelic_heights.adelic_curve import (
+    AdelicFamily,
+    NefStatus,
+    Place,
+    ToricCompactifiedDivisor,
+    canonical_fn,
+    global_energy,
+    global_height,
+    nef_status,
+    roof,
+)
+from adelic_heights.adelic_curve.heights import place_energies
+from adelic_heights.convex_calculus import (
+    AffinePiece,
+    AlphaPiece,
+    ConcaveFn,
+    DensityPiece,
+    DualPiece,
+    Measure1D,
+    PowerTerm,
+    legendre_dual,
+)
+from adelic_heights.divisorial_core import Cell, Constraint
+
+DIVISOR = ToricCompactifiedDivisor(0, 1)
+
+# (an instance, an equal one built from other input types, an unequal one)
+VALUES = {
+    "AffinePiece": (AffinePiece(1, 2), AffinePiece(F(1), "2"), AffinePiece(1, 3)),
+    "AlphaPiece": (
+        AlphaPiece(F(1, 4), 1, 0),
+        AlphaPiece("1/4", F(1), 0),
+        AlphaPiece(F(1, 3), 1, 0),
+    ),
+    "PowerTerm": (PowerTerm(-3.0, -0.25, 1), PowerTerm(-3.0, -0.25, 1), PowerTerm(-3.0, -0.5, 1)),
+    "DualPiece": (
+        DualPiece(1, 0, [PowerTerm(-3.0, -0.25, 1)]),
+        DualPiece(F(1), F(0), (PowerTerm(-3.0, -0.25, 1),)),
+        DualPiece(1, 0),
+    ),
+    "DensityPiece": (
+        DensityPiece(None, 0, 0.75, -1.75),
+        DensityPiece(None, F(0), 0.75, -1.75),
+        DensityPiece(-1, 0, 0.75, -1.75),
+    ),
+    "Measure1D": (
+        Measure1D([(0, F(1))]),
+        Measure1D(((F(0), F(1)),), ()),
+        Measure1D([(1, F(1))]),
+    ),
+    "NefStatus": (
+        NefStatus("S_nef_only", F(0)),
+        NefStatus("S_nef_only", 0),
+        NefStatus("S_ample", F(0)),
+    ),
+    "Place": (Place(2), Place.prime(2), Place.infinity()),
+    "Constraint": (
+        Constraint((1, 0)),
+        Constraint([F(1), F(0)], strict=False),
+        Constraint((1, 0), True),
+    ),
+    "Cell": (
+        Cell((Constraint((1, 0)),)),
+        Cell([Constraint((1, 0))]),
+        Cell(()),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_equality_and_hash_follow_the_fields(name):
+    value, same, other = VALUES[name]
+    assert value is not same
+    assert value == same and hash(value) == hash(same)
+    assert value != other
+    assert value != object() and value != name
+    assert {value: 1}[same] == 1
+    assert repr(value).startswith(type(value).__name__ + "(")
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_classes_are_immutable(name):
+    value, _, _ = VALUES[name]
+    field = type(value).__slots__[0]
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) == before
+
+
+class TestNormalisation:
+    def test_ints_and_strings_become_fractions_and_floats_pass(self):
+        piece = AffinePiece(1, "1/2")
+        assert type(piece.slope) is F and type(piece.intercept) is F
+        assert piece.intercept == F(1, 2)
+        assert type(AffinePiece(0.5, 0).slope) is float
+        alpha = AlphaPiece(F(1, 4), 1, 0)
+        assert all(type(x) is F for x in (alpha.alpha, alpha.slope, alpha.intercept))
+        dual = DualPiece(2, 3, [PowerTerm(1.0, 0.5, 0)])
+        assert type(dual.slope) is F and type(dual.terms) is tuple
+        density = DensityPiece(-2, 0, 1.0, 0.0)
+        assert type(density.lo) is F and type(density.hi) is F
+        measure = Measure1D([(1, F(1, 2))], [density])
+        assert measure.atoms == ((F(1), F(1, 2)),) and type(measure.atoms[0][0]) is F
+        assert type(measure.densities) is tuple
+        assert Constraint([1, 2]).row == (F(1), F(2)) and not Constraint([1, 2]).strict
+        assert type(Cell([Constraint([1, 0])]).constraints) is tuple
+
+    def test_bad_numbers_are_named_before_the_alpha_range(self):
+        # the range check (test_alpha_range_enforced) runs on coerced fields
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            AlphaPiece("1", 1, 0)
+        with pytest.raises(ValueError, match="finite"):
+            AlphaPiece(2, float("nan"), 0)
+        with pytest.raises(TypeError, match="expected a number"):
+            AffinePiece(None, 0)
+
+    def test_density_and_measure_checks(self):
+        with pytest.raises(ValueError, match="empty density interval"):
+            DensityPiece(0, 0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="right endpoint"):
+            DensityPiece(None, 1, 1.0, -1.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            Measure1D([(0, F(-1))])
+        with pytest.raises(ValueError, match="nonnegative"):
+            Measure1D((), [DensityPiece(None, 0, -1.0, -1.5)])
+
+    def test_place_checks_and_repr(self):
+        with pytest.raises(ValueError, match="not prime"):
+            Place(2.0)
+        assert repr(Place(2)) == "Place(2)" and repr(Place()) == "Place(inf)"
+        assert Place() == Place.infinity() and Place().is_infinite
+
+
+class TestEqualityInUse:
+    def test_profile_merges_equal_pieces(self):
+        psi = ConcaveFn([0, 1], [AffinePiece(1, 0), AffinePiece(F(1), "0"), AffinePiece(0, 1)])
+        assert psi.breakpoints == (F(1),)
+        assert psi.pieces == (AffinePiece(1, 0), AffinePiece(0, 1))
+
+    def test_equal_profiles_carry_no_energy(self):
+        shifted = canonical_fn(DIVISOR).shift(F(1, 3))
+        rebuilt = ConcaveFn(
+            list(shifted.breakpoints), [AffinePiece(p.slope, p.intercept) for p in shifted.pieces]
+        )
+        assert rebuilt is not shifted and rebuilt == shifted
+        ref = AdelicFamily(DIVISOR, {Place(2): shifted})
+        sing = AdelicFamily(DIVISOR, {Place.prime(2): rebuilt})
+        assert list(place_energies(ref, sing)) == []
+        assert global_energy(ref, sing) == 0
+
+    def test_place_keys_and_nef_status(self):
+        fam = AdelicFamily(DIVISOR, {Place(3): canonical_fn(DIVISOR).shift(-1)})
+        assert fam.psi_at(Place.prime(3)) == canonical_fn(DIVISOR).shift(-1)
+        assert nef_status(fam) == NefStatus("S_ample", 1)
+        assert nef_status(AdelicFamily(DIVISOR)) != NefStatus("S_ample", 0)
+
+
+class TestReadOnlyProfiles:
+    def test_a_profile_a_family_has_read_cannot_change(self):
+        # assigning new pieces used to leave the family's cached roof stale
+        psi = canonical_fn(DIVISOR).shift(F(1, 3))
+        fam = AdelicFamily(DIVISOR, {Place(2): psi})
+        assert global_height(fam) == F(-2, 3)
+        with pytest.raises(AttributeError, match="ConcaveFn is read-only"):
+            psi.pieces = canonical_fn(DIVISOR).shift(5).pieces
+        with pytest.raises(AttributeError, match="ConcaveFn is read-only"):
+            psi.breakpoints = ()
+        with pytest.raises(AttributeError, match="ConcaveFn is read-only"):
+            del psi.pieces
+        assert global_height(fam) == F(-2, 3)
+        assert global_height(AdelicFamily(DIVISOR, {Place(2): psi})) == F(-2, 3)
+
+    def test_duals_are_read_only(self):
+        fam = AdelicFamily(DIVISOR, {Place(2): canonical_fn(DIVISOR).shift(F(1, 3))})
+        dual = roof(fam).duals[1]
+        for name in ("lo", "hi", "breakpoints", "pieces"):
+            with pytest.raises(AttributeError, match="DualFn is read-only"):
+                setattr(dual, name, getattr(dual, name))
+            with pytest.raises(AttributeError, match="DualFn is read-only"):
+                delattr(dual, name)
+        with pytest.raises(AttributeError, match="DualFn is read-only"):
+            legendre_dual(canonical_fn(DIVISOR)).cache = {}
+        assert global_height(fam) == F(-2, 3)
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [f"adelic_heights.{name}" for name in ("divisorial_core", "convex_calculus", "adelic_curve")],
+)
+def test_star_import_yields_every_public_name(layer):
+    namespace = {}
+    exec(f"from {layer} import *", namespace)
+    module = importlib.import_module(layer)
+    assert module.__all__
+    for name in module.__all__:
+        assert namespace[name] is getattr(module, name)
