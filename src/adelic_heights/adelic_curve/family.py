@@ -11,10 +11,10 @@ duals that every height and the nef verdict read, on first use.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..convex_calculus.duality import DualFn, legendre_dual, sum_duals
 from ..convex_calculus.functions import (
@@ -22,10 +22,10 @@ from ..convex_calculus.functions import (
     ConcaveFn,
     sup_distance,
 )
-from ..scalars import _to_fraction
+from ..scalars import Frozen, _to_fraction
 from .places import Place
 
-Real = Union[Fraction, float]
+Real = Fraction | float
 
 S_AMPLE = "S_ample"
 S_NEF_ONLY = "S_nef_only"
@@ -33,7 +33,7 @@ RELATIVELY_NEF_ONLY = "relatively_nef_only"
 NOT_RELATIVELY_NEF = "not_relatively_nef"
 
 
-class ToricCompactifiedDivisor:
+class ToricCompactifiedDivisor(Frozen):
     """a[0] + b[infinity] with rational coefficients and a + b >= 0."""
 
     __slots__ = ("a", "b")
@@ -45,28 +45,9 @@ class ToricCompactifiedDivisor:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ToricCompactifiedDivisor is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ToricCompactifiedDivisor is immutable")
-
     @property
     def degree(self) -> Fraction:
         return self.a + self.b
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ToricCompactifiedDivisor)
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"ToricCompactifiedDivisor(a={self.a}, b={self.b})"
 
 
 def canonical_fn(divisor: ToricCompactifiedDivisor) -> ConcaveFn:
@@ -83,7 +64,7 @@ def _has_divisor_slopes(psi: ConcaveFn, divisor: ToricCompactifiedDivisor) -> bo
 
 def strongly_nef_local_check(
     psi: ConcaveFn, divisor: ToricCompactifiedDivisor
-) -> Tuple[bool, bool]:
+) -> tuple[bool, bool]:
     """(has the divisor's asymptotic slopes, stays within bounded distance
     of the canonical profile)."""
     strongly_nef = _has_divisor_slopes(psi, divisor)
@@ -91,34 +72,15 @@ def strongly_nef_local_check(
     return strongly_nef, non_singular
 
 
-class NefStatus:
+class NefStatus(Frozen):
     """Classification by the sign of the roof minimum; mu_min_asy is that
     minimum, or None when broken slopes leave no roof to measure."""
 
     __slots__ = ("status", "mu_min_asy")
 
-    def __init__(self, status: str, mu_min_asy: Optional[Real]):
+    def __init__(self, status: str, mu_min_asy: Real | None):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "mu_min_asy", mu_min_asy)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NefStatus is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("NefStatus is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NefStatus)
-            and self.status == other.status
-            and self.mu_min_asy == other.mu_min_asy
-        )
-
-    def __hash__(self):
-        return hash((self.status, self.mu_min_asy))
-
-    def __repr__(self) -> str:
-        return f"NefStatus(status={self.status!r}, mu_min_asy={self.mu_min_asy!r})"
 
 
 class RoofFunction:
@@ -142,7 +104,7 @@ class RoofFunction:
         return sum_duals(self.duals)
 
     @property
-    def domain(self) -> Tuple[Real, Real]:
+    def domain(self) -> tuple[Real, Real]:
         return (self.duals[0].lo, self.duals[0].hi)
 
     def __call__(self, m) -> float:
@@ -152,11 +114,11 @@ class RoofFunction:
         return sum((d.value(m) for d in self.duals), Fraction(0))
 
     @cached_property
-    def _endpoints(self) -> Tuple[Real, Real]:
+    def _endpoints(self) -> tuple[Real, Real]:
         lo, hi = self.domain
         return self.value(lo), self.value(hi)
 
-    def endpoints(self) -> Tuple[Real, Real]:
+    def endpoints(self) -> tuple[Real, Real]:
         return self._endpoints
 
     def minimum(self) -> Real:
@@ -222,11 +184,11 @@ class AdelicFamily:
     def __init__(
         self,
         divisor: ToricCompactifiedDivisor,
-        exceptions: Optional[Mapping[Place, ConcaveFn]] = None,
+        exceptions: Mapping[Place, ConcaveFn] | None = None,
         strict: bool = True,
     ):
         canonical = canonical_fn(divisor)
-        table: Dict[Place, ConcaveFn] = {}
+        table: dict[Place, ConcaveFn] = {}
         for place, psi in (exceptions or {}).items():
             if not isinstance(place, Place):
                 raise TypeError("exception keys must be places")
@@ -251,20 +213,20 @@ class AdelicFamily:
             slope_valid=slope_valid,
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AdelicFamily is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError("AdelicFamily is read-only")
+    # a family compares by identity and caches in its __dict__, so it is
+    # not a Frozen value; it only shares the refusal to change
+    __setattr__ = Frozen.__setattr__
+    __delattr__ = Frozen.__delattr__
 
     @cached_property
-    def singular_places(self) -> Tuple[Place, ...]:
+    def singular_places(self) -> tuple[Place, ...]:
         """Exceptional places whose profile has the wrong asymptotic slopes
-        or lies at unbounded distance from the canonical one."""
+        or lies at unbounded distance from the canonical one, each decided
+        by strongly_nef_local_check on that place's profile alone."""
         return tuple(
             place
             for place, psi in self.exceptions.items()
-            if not self.slope_valid or sup_distance(psi, self.canonical) == math.inf
+            if not strongly_nef_local_check(psi, self.divisor)[1]
         )
 
     @cached_property
@@ -276,7 +238,7 @@ class AdelicFamily:
     def psi_at(self, place: Place) -> ConcaveFn:
         return self.exceptions.get(place, self.canonical)
 
-    def places(self) -> List[Place]:
+    def places(self) -> list[Place]:
         """Exceptional places in canonical order."""
         return list(self.exceptions)
 

@@ -9,7 +9,7 @@ route reads the one `RoofFunction` each family builds (family.py).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Tuple
+from collections.abc import Iterator, Mapping
 
 from ..convex_calculus.energy import _require_comparable, local_energy
 from ..scalars import _to_fraction
@@ -120,7 +120,7 @@ def _at_place(place: Place, fn, psi, phi):
 
 def place_energies(
     ref: AdelicFamily, sing: AdelicFamily
-) -> Iterator[Tuple[Place, Real]]:
+) -> Iterator[tuple[Place, Real]]:
     """(place, local energy) at each place where the two profiles differ,
     in canonical order; each energy is finite or -inf.
 

@@ -8,11 +8,11 @@ certify exactly instead of within floating-point error.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..scalars import _to_fraction
+from ..scalars import Frozen, _to_fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -128,7 +128,7 @@ def isprime(n: int) -> bool:
 _FACTOR_STEPS = 1 << 22
 
 
-def _rho_brent(n: int, budget: int) -> Tuple[int, int]:
+def _rho_brent(n: int, budget: int) -> tuple[int, int]:
     """A proper divisor of n, odd, composite and not a square, by Pollard
     rho on x -> x**2 + c with Brent's cycle finding and gcds batched over
     128 steps (Brent, BIT 20, 1980). Deterministic: c runs 1, 2, ...
@@ -166,12 +166,12 @@ def _rho_brent(n: int, budget: int) -> Tuple[int, int]:
 
 # each memo entry holds about 440 B, so 4096 of them stay under 2 MB
 @lru_cache(maxsize=4096)
-def _factor(n: int) -> Tuple[Tuple[int, int], ...]:
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of the integer n >= 1 as sorted (p, e) pairs.
 
     Raises ArithmeticError when the cofactors left after trial division
     need more than _FACTOR_STEPS Pollard-Brent squarings to split."""
-    out: Dict[int, int] = {}
+    out: dict[int, int] = {}
     rest = n
     for p in _SMALL_PRIMES:
         while rest % p == 0:
@@ -195,28 +195,16 @@ def _factor(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-class Place:
+class Place(Frozen):
     """A prime p, or None for the archimedean place."""
 
     __slots__ = ("p",)
 
-    def __init__(self, p: Optional[int] = None):
+    def __init__(self, p: int | None = None):
         if p is not None:
             if not isinstance(p, int) or not isprime(p):
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Place is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Place is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Place) and self.p == other.p
-
-    def __hash__(self):
-        return hash(self.p)
 
     @property
     def is_infinite(self) -> bool:
@@ -240,24 +228,18 @@ class Place:
         return "Place(inf)" if self.p is None else f"Place({self.p})"
 
 
-class LogLinear:
+class LogLinear(Frozen):
     """Exact element of the module spanned by {log p : p prime}."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[Dict[int, Fraction]] = None):
-        clean: Dict[int, Fraction] = {}
+    def __init__(self, coeffs: dict[int, Fraction] | None = None):
+        clean: dict[int, Fraction] = {}
         for p, c in (coeffs or {}).items():
             c = _to_fraction(c)
             if c != 0:
                 clean[int(p)] = c
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LogLinear is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("LogLinear is immutable")
 
     def __add__(self, other: "LogLinear") -> "LogLinear":
         out = dict(self.coeffs)
@@ -278,10 +260,8 @@ class LogLinear:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LogLinear) and self.coeffs == other.coeffs
-
     def __hash__(self):
+        # the field is a dict, so hash its items in a fixed order
         return hash(tuple(sorted(self.coeffs.items())))
 
     def __float__(self) -> float:
@@ -310,7 +290,7 @@ def _valuation(q: Fraction, p: int) -> int:
     return v
 
 
-def support(q) -> List[Place]:
+def support(q) -> list[Place]:
     """Finite places where q has a zero or pole, in increasing order."""
     q = _to_fraction(q)
     if q == 0:
@@ -337,7 +317,7 @@ def log_abs(q, place: Place) -> LogLinear:
     if q == 0:
         raise ValueError("log|0| is undefined")
     if place.is_infinite:
-        coeffs: Dict[int, Fraction] = {}
+        coeffs: dict[int, Fraction] = {}
         for p, e in _factor(abs(q.numerator)):
             coeffs[p] = coeffs.get(p, Fraction(0)) + e
         for p, e in _factor(q.denominator):
@@ -346,7 +326,7 @@ def log_abs(q, place: Place) -> LogLinear:
     return LogLinear({place.p: -_valuation(q, place.p)})
 
 
-def log_abs_by_place(q) -> Iterator[Tuple[Place, LogLinear]]:
+def log_abs_by_place(q) -> Iterator[tuple[Place, LogLinear]]:
     """(place, log|q| there) at each finite place of the support, in
     increasing order, then at infinity: every nonzero contribution."""
     q = _to_fraction(q)

@@ -14,8 +14,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .adelic_curve.family import (
     AdelicFamily,
@@ -39,8 +39,6 @@ from .convex_calculus.measures import (
 )
 from .scalars import _num, _to_fraction
 
-Number = Union[int, float, Fraction]
-
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
@@ -59,7 +57,7 @@ class SchemaError(ValueError):
 # number and object codecs
 
 
-def encode_number(x) -> Union[int, float, str]:
+def encode_number(x) -> int | float | str:
     """Rationals to exact 'p/q' strings (integers plain), floats to 12
     significant digits, -inf to the string '-inf'."""
     if isinstance(x, Fraction):
@@ -74,7 +72,7 @@ def encode_number(x) -> Union[int, float, str]:
     return float(f"{f:.12g}")
 
 
-def decode_number(value) -> Union[Fraction, float]:
+def decode_number(value) -> Fraction | float:
     """A finite number, or the literal '-inf'."""
     if value == "-inf":
         return -math.inf
@@ -91,7 +89,7 @@ def _decode_finite(value) -> Fraction:
         raise SchemaError(f"bad rational {value!r}: {exc}") from exc
 
 
-def encode_log_linear(x: LogLinear) -> Dict[str, Union[int, float, str]]:
+def encode_log_linear(x: LogLinear) -> dict[str, int | float | str]:
     return {str(p): encode_number(c) for p, c in sorted(x.coeffs.items())}
 
 
@@ -135,7 +133,7 @@ def decode_concave_fn(obj) -> ConcaveFn:
     raw_pieces = obj["pieces"]
     if not isinstance(raw_pieces, list) or not raw_pieces:
         raise SchemaError("pieces must be a non-empty array")
-    breakpoints: List[Fraction] = []
+    breakpoints: list[Fraction] = []
     pieces = []
     for i, entry in enumerate(raw_pieces):
         if not isinstance(entry, dict):
@@ -200,7 +198,7 @@ def decode_place(value) -> Place:
     raise SchemaError(f"place must be 'inf' or a prime, got {value!r}")
 
 
-def encode_place(place: Place) -> Union[int, str]:
+def encode_place(place: Place) -> int | str:
     return "inf" if place.is_infinite else place.p
 
 
@@ -229,8 +227,11 @@ def decode_family(obj) -> AdelicFamily:
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+    exceptions = obj.get("exceptions", [])
+    if not isinstance(exceptions, list):
+        raise SchemaError("exceptions must be an array")
     table = {}
-    for entry in obj.get("exceptions", []):
+    for entry in exceptions:
         if not isinstance(entry, dict) or "place" not in entry or "psi" not in entry:
             raise SchemaError("each exception needs place and psi fields")
         place = decode_place(entry["place"])
@@ -304,7 +305,7 @@ def encode_measure(mu: Measure1D) -> dict:
 # input plumbing
 
 
-def load_input(raw: Optional[str]):
+def load_input(raw: str | None):
     """Accept a filesystem path or inline JSON text."""
     if raw is None:
         raise SchemaError("this command requires --input")
@@ -321,7 +322,7 @@ def load_input(raw: Optional[str]):
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
 
 
-def parse_grid(spec: str) -> Tuple[float, float, int]:
+def parse_grid(spec: str) -> tuple[float, float, int]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise SchemaError("grid must look like lo:hi:count")
@@ -338,7 +339,7 @@ def parse_grid(spec: str) -> Tuple[float, float, int]:
     return lo, hi, count
 
 
-def grid_points(lo: float, hi: float, count: int) -> List[float]:
+def grid_points(lo: float, hi: float, count: int) -> list[float]:
     step = (hi - lo) / (count - 1)
     pts = [lo + i * step for i in range(count)]
     pts[-1] = hi
@@ -466,7 +467,7 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def cmd_plot(args) -> List[List[str]]:
+def cmd_plot(args) -> list[list[str]]:
     fam = decode_family(load_input(args.input))
     if args.grid:
         lo, hi, count = parse_grid(args.grid)
@@ -564,7 +565,7 @@ def render(payload, fmt: str) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def write_output(text: str, out: Optional[str]) -> None:
+def write_output(text: str, out: str | None) -> None:
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -637,7 +638,7 @@ HANDLERS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

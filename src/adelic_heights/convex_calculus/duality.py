@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-from typing import List, Sequence, Tuple, Union
 
-from ..scalars import _num, _to_fraction
+from ..scalars import Frozen, _num, _to_fraction
 from .functions import AffinePiece, AlphaPiece, ConcaveFn, Number, _bisect_root
 from .measures import PositiveDivergenceError
 
@@ -31,7 +31,7 @@ def _above(x: Number, y: Number) -> bool:
     return float(x) > float(y)
 
 
-class PowerTerm:
+class PowerTerm(Frozen):
     """coeff * (center - m) ** exponent, singular only as m -> center."""
 
     __slots__ = ("coeff", "exponent", "center")
@@ -40,12 +40,6 @@ class PowerTerm:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "center", center)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerTerm is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PowerTerm is immutable")
 
     def value(self, m: float) -> float:
         base = float(self.center) - m
@@ -67,25 +61,8 @@ class PowerTerm:
         except (ZeroDivisionError, OverflowError):
             return math.copysign(math.inf, k)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PowerTerm)
-            and self.coeff == other.coeff
-            and self.exponent == other.exponent
-            and self.center == other.center
-        )
 
-    def __hash__(self):
-        return hash((self.coeff, self.exponent, self.center))
-
-    def __repr__(self) -> str:
-        return (
-            f"PowerTerm(coeff={self.coeff!r}, exponent={self.exponent!r}, "
-            f"center={self.center!r})"
-        )
-
-
-class DualPiece:
+class DualPiece(Frozen):
     """slope*m + intercept plus the power terms."""
 
     __slots__ = ("slope", "intercept", "terms")
@@ -94,12 +71,6 @@ class DualPiece:
         object.__setattr__(self, "slope", _num(slope))
         object.__setattr__(self, "intercept", _num(intercept))
         object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualPiece is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("DualPiece is immutable")
 
     def value(self, m) -> float:
         v = float(self.slope) * float(m) + float(self.intercept)
@@ -116,28 +87,11 @@ class DualPiece:
             v += t.derivative(float(m))
         return v
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DualPiece)
-            and self.slope == other.slope
-            and self.intercept == other.intercept
-            and self.terms == other.terms
-        )
 
-    def __hash__(self):
-        return hash((self.slope, self.intercept, self.terms))
-
-    def __repr__(self) -> str:
-        return (
-            f"DualPiece(slope={self.slope!r}, intercept={self.intercept!r}, "
-            f"terms={self.terms!r})"
-        )
-
-
-class DualFn:
+class DualFn(Frozen):
     """Concave function on [lo, hi] (a slope interval), piecewise affine
     plus power profiles; values -inf are allowed at the endpoints.
-    Read-only, like the profiles it is the dual of."""
+    A read-only value, like the profiles it is the dual of."""
 
     __slots__ = ("lo", "hi", "breakpoints", "pieces")
 
@@ -164,12 +118,6 @@ class DualFn:
         if any(b2 <= b1 for b1, b2 in zip(knots, knots[1:])):
             raise ValueError("dual breakpoints must increase inside the domain")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DualFn is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError("DualFn is read-only")
-
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
 
@@ -186,7 +134,7 @@ class DualFn:
     def __call__(self, m) -> float:
         return self.piece_at(m).value(m)
 
-    def value(self, m) -> Union[Fraction, float]:
+    def value(self, m) -> Fraction | float:
         """A piece with power terms evaluates in floats (-inf at a
         non-integrable endpoint); an affine piece evaluates at the exact m,
         so its value is a Fraction when its coefficients are."""
@@ -207,7 +155,7 @@ class DualFn:
     def is_affine_piecewise(self) -> bool:
         return all(not p.terms for p in self.pieces)
 
-    def integral(self) -> Union[Fraction, float]:
+    def integral(self) -> Fraction | float:
         """Integral over the whole domain: a Fraction when every piece is
         affine with rational coefficients and every edge is rational, a
         float otherwise.
@@ -306,7 +254,7 @@ def sum_duals(duals: Sequence[DualFn]) -> DualFn:
         for i, d in enumerate(duals)
         for j, b in enumerate(d.breakpoints, 1)
     )
-    breakpoints: List[Number] = []
+    breakpoints: list[Number] = []
     pieces = [DualPiece(slope.read(), intercept.read(), terms)]
     for b, group in groupby(events, key=itemgetter(0)):
         for _, i, j in group:
@@ -338,7 +286,7 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
     lo, hi = f.slope_pos, f.slope_neg
     if lo == hi:
         return DualFn(lo, hi, [], [DualPiece(0, -f.pieces[0].intercept)])
-    entries: List[Tuple[Number, DualPiece]] = []  # (upper edge, piece)
+    entries: list[tuple[Number, DualPiece]] = []  # (upper edge, piece)
     cur: Number = lo
     n = len(f.pieces)
     for i in range(n - 1, -1, -1):
@@ -384,7 +332,7 @@ def legendre_bidual(d: DualFn) -> ConcaveFn:
         vertices.append((mf, d.value_exact(mf)))
     vertices.sort(key=lambda t: t[0], reverse=True)  # slopes decrease rightward
     pieces = [AffinePiece(m, -v) for m, v in vertices]
-    bps: List[Fraction] = []
+    bps: list[Fraction] = []
     for (m1, v1), (m2, v2) in zip(vertices, vertices[1:]):
         bps.append((v1 - v2) / (m1 - m2))
     return ConcaveFn(bps, pieces)

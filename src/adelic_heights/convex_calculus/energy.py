@@ -5,7 +5,6 @@ finite or -inf (or raises PositiveDivergenceError), so their sum is too."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .functions import ConcaveFn, bounded_above
 from .measures import integrate_against, monge_ampere
@@ -18,7 +17,7 @@ def _require_comparable(psi: ConcaveFn, phi: ConcaveFn) -> None:
         )
 
 
-def local_energy(psi: ConcaveFn, phi: ConcaveFn) -> Union[Fraction, float]:
+def local_energy(psi: ConcaveFn, phi: ConcaveFn) -> Fraction | float:
     """Energy of phi relative to psi: the integral of psi - phi against
     the sum of both curvature measures. Finite or -inf; a Fraction on
     piecewise-affine rational profiles."""
@@ -33,7 +32,7 @@ def mixed_local_energy(
     psi1: ConcaveFn,
     phi0: ConcaveFn,
     phi1: ConcaveFn,
-) -> Union[Fraction, float]:
+) -> Fraction | float:
     """Mixed energy of the pair (phi0, phi1) against references (psi0, psi1):
 
         int (psi0 - phi0) dMA(psi1) + int (psi1 - phi1) dMA(phi0)

@@ -15,18 +15,18 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..scalars import _num, _to_fraction
+from ..scalars import Frozen, _num, _to_fraction
 
-Number = Union[int, Fraction, float]
+Number = int | Fraction | float
 
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-8 + 1e-8 * max(abs(a), abs(b))
 
 
-class AffinePiece:
+class AffinePiece(Frozen):
     """slope*u + intercept."""
 
     __slots__ = ("slope", "intercept")
@@ -34,12 +34,6 @@ class AffinePiece:
     def __init__(self, slope: Number, intercept: Number):
         object.__setattr__(self, "slope", _num(slope))
         object.__setattr__(self, "intercept", _num(intercept))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffinePiece is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AffinePiece is immutable")
 
     def value(self, u):
         return self.slope * u + self.intercept
@@ -54,21 +48,8 @@ class AffinePiece:
     def alpha_term(self):
         return None
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffinePiece)
-            and self.slope == other.slope
-            and self.intercept == other.intercept
-        )
 
-    def __hash__(self):
-        return hash((self.slope, self.intercept))
-
-    def __repr__(self) -> str:
-        return f"AffinePiece(slope={self.slope!r}, intercept={self.intercept!r})"
-
-
-class AlphaPiece:
+class AlphaPiece(Frozen):
     """slope*u + intercept + (1/alpha)*(1-u)**alpha, on intervals with u <= 0."""
 
     __slots__ = ("alpha", "slope", "intercept")
@@ -80,12 +61,6 @@ class AlphaPiece:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "intercept", intercept)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlphaPiece is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AlphaPiece is immutable")
 
     def value(self, u) -> float:
         a = float(self.alpha)
@@ -105,25 +80,8 @@ class AlphaPiece:
         # coefficient of (1-u)**alpha is pinned to 1/alpha in this catalog
         return (1.0 / float(self.alpha), float(self.alpha))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlphaPiece)
-            and self.alpha == other.alpha
-            and self.slope == other.slope
-            and self.intercept == other.intercept
-        )
 
-    def __hash__(self):
-        return hash((self.alpha, self.slope, self.intercept))
-
-    def __repr__(self) -> str:
-        return (
-            f"AlphaPiece(alpha={self.alpha!r}, slope={self.slope!r}, "
-            f"intercept={self.intercept!r})"
-        )
-
-
-Piece = Union[AffinePiece, AlphaPiece]
+Piece = AffinePiece | AlphaPiece
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +96,14 @@ class _Expr:
 
     __slots__ = ("slope", "intercept", "terms")
 
-    def __init__(self, slope: Number, intercept: Number, terms: Tuple[Tuple[float, float], ...]):
+    def __init__(self, slope: Number, intercept: Number, terms: tuple[tuple[float, float], ...]):
         self.slope, self.intercept = slope, intercept
         self.terms = terms  # (coeff, exponent) of (1-u)**e
 
     @staticmethod
     def difference(p: Piece, q: Piece) -> "_Expr":
         tp, tq = p.alpha_term, q.alpha_term
-        terms: Tuple[Tuple[float, float], ...] = ()
+        terms: tuple[tuple[float, float], ...] = ()
         # the coefficient is pinned to 1/alpha, so the same alpha on both
         # sides cancels exactly
         if tp != tq:
@@ -210,7 +168,7 @@ def _bisect_root(fn: Callable[[float], float], a: float, b: float) -> float:
     return m
 
 
-def _extend_left(expr: _Expr, right: float, target_sign: int) -> Optional[float]:
+def _extend_left(expr: _Expr, right: float, target_sign: int) -> float | None:
     """Finite point left of `right` where expr has the asymptotic sign.
 
     Valid on intervals where expr is monotone; doubles the step outward.
@@ -224,7 +182,7 @@ def _extend_left(expr: _Expr, right: float, target_sign: int) -> Optional[float]
     return None
 
 
-def _monotone_roots(expr: _Expr, seg_lo: Optional[float], seg_hi: float) -> List[float]:
+def _monotone_roots(expr: _Expr, seg_lo: float | None, seg_hi: float) -> list[float]:
     """Roots on a segment where expr is monotone. seg_lo None means -inf."""
     s_hi = _sign(expr.value(seg_hi))
     if s_hi == 0:
@@ -243,7 +201,7 @@ def _monotone_roots(expr: _Expr, seg_lo: Optional[float], seg_hi: float) -> List
     return [_bisect_root(expr.value, seg_lo, seg_hi)]
 
 
-def _critical_points(expr: _Expr, lo: Optional[float], hi: float) -> List[float]:
+def _critical_points(expr: _Expr, lo: float | None, hi: float) -> list[float]:
     """Zeros of the derivative of expr on (lo, hi), hi finite, for an expr
     with one or two power terms.
 
@@ -253,7 +211,7 @@ def _critical_points(expr: _Expr, lo: Optional[float], hi: float) -> List[float]
     d = expr.derivative_expr()
     if len(d.terms) > 2:
         raise NotImplementedError("more than two singular terms in one difference")
-    segs: List[Tuple[Optional[float], float]] = [(lo, hi)]
+    segs: list[tuple[float | None, float]] = [(lo, hi)]
     if len(d.terms) == 2:
         (c1, e1), (c2, e2) = d.terms
         # the second derivative vanishes where (1-u)**(e1-e2) = -k2/k1
@@ -269,7 +227,7 @@ def _critical_points(expr: _Expr, lo: Optional[float], hi: float) -> List[float]
     return sorted({r for a, b in segs for r in _monotone_roots(d, a, b)})
 
 
-def _expr_roots(expr: _Expr, lo: Optional[Fraction], hi: Optional[Fraction]) -> List[Fraction]:
+def _expr_roots(expr: _Expr, lo: Fraction | None, hi: Fraction | None) -> list[Fraction]:
     """All roots of expr strictly inside (lo, hi), as exact Fractions.
 
     Float roots are converted exactly; affine-only expressions solve
@@ -296,7 +254,7 @@ def _expr_roots(expr: _Expr, lo: Optional[Fraction], hi: Optional[Fraction]) -> 
 # ---------------------------------------------------------------------------
 
 
-class ConcaveFn:
+class ConcaveFn(Frozen):
     """Concave, continuous, piecewise function over rational breakpoints.
 
     pieces[i] lives on [breakpoints[i-1], breakpoints[i]] (unbounded at the
@@ -320,12 +278,6 @@ class ConcaveFn:
         object.__setattr__(self, "breakpoints", tuple(bps))
         object.__setattr__(self, "pieces", tuple(pieces))
         self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConcaveFn is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError("ConcaveFn is read-only")
 
     @staticmethod
     def _merge(bps, pieces):
@@ -377,8 +329,8 @@ class ConcaveFn:
         i = bisect.bisect_left(self.breakpoints, _to_fraction(u))
         return self.pieces[i]
 
-    def intervals(self) -> List[Tuple[Optional[Fraction], Optional[Fraction], Piece]]:
-        lo: Optional[Fraction] = None
+    def intervals(self) -> list[tuple[Fraction | None, Fraction | None, Piece]]:
+        lo: Fraction | None = None
         out = []
         for i, p in enumerate(self.pieces):
             hi = self.breakpoints[i] if i < len(self.breakpoints) else None
@@ -402,27 +354,14 @@ class ConcaveFn:
     def affine(slope, intercept=0) -> "ConcaveFn":
         return ConcaveFn([], [AffinePiece(slope, intercept)])
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConcaveFn)
-            and self.breakpoints == other.breakpoints
-            and self.pieces == other.pieces
-        )
-
-    def __hash__(self):
-        return hash((self.breakpoints, self.pieces))
-
-    def __repr__(self) -> str:
-        return f"ConcaveFn(breakpoints={list(self.breakpoints)}, pieces={list(self.pieces)})"
-
 
 def _pair_walk(
     f: ConcaveFn,
     g: ConcaveFn,
     cuts: Sequence[Fraction] = (),
-    lo: Optional[Fraction] = None,
-    hi: Optional[Fraction] = None,
-) -> Iterator[Tuple[Optional[Fraction], Optional[Fraction], Fraction, Piece, Piece]]:
+    lo: Fraction | None = None,
+    hi: Fraction | None = None,
+) -> Iterator[tuple[Fraction | None, Fraction | None, Fraction, Piece, Piece]]:
     """Walk (lo, hi) cut at the breakpoints of f and g and at extra cuts.
 
     Yields (lo, hi, probe, f-piece, g-piece) for each interval; None ends
@@ -449,8 +388,8 @@ def min_concave(f: ConcaveFn, g: ConcaveFn) -> ConcaveFn:
         for lo, hi, _, fp, gp in _pair_walk(f, g)
         for r in _expr_roots(_Expr.difference(fp, gp), lo, hi)
     ]
-    cuts: List[Fraction] = []
-    pieces: List[Piece] = []
+    cuts: list[Fraction] = []
+    pieces: list[Piece] = []
     for lo, _, probe, fp, gp in _pair_walk(f, g, roots):
         if lo is not None:
             cuts.append(lo)
@@ -459,7 +398,7 @@ def min_concave(f: ConcaveFn, g: ConcaveFn) -> ConcaveFn:
     return ConcaveFn(cuts, pieces)
 
 
-def _probe_point(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
+def _probe_point(lo: Fraction | None, hi: Fraction | None) -> Fraction:
     if lo is None and hi is None:
         return Fraction(0)
     if lo is None:
@@ -505,7 +444,7 @@ def sup_distance(f: ConcaveFn, g: ConcaveFn) -> float:
             # slopes agree, so the difference is a constant out here
             best = max(best, abs(d.value(0.0 if lo is None else float(lo) + 1.0)))
             continue
-        candidates: List[float] = []
+        candidates: list[float] = []
         if lo is not None:
             candidates.append(float(lo))
         candidates.append(float(hi))

@@ -10,10 +10,10 @@ leading divergent exponent decides which.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..scalars import _to_fraction
+from ..scalars import Frozen, _to_fraction
 from .functions import (
     AlphaPiece,
     ConcaveFn,
@@ -29,7 +29,7 @@ class PositiveDivergenceError(ValueError):
     """An integral diverges to +infinity; no value can be returned."""
 
 
-class DensityPiece:
+class DensityPiece(Frozen):
     """Density coeff*(1-u)**exponent du on [lo, hi]; lo of None means -inf.
 
     Singular exponents (nonzero) require hi <= 0 so the density stays
@@ -38,7 +38,7 @@ class DensityPiece:
 
     __slots__ = ("lo", "hi", "coeff", "exponent")
 
-    def __init__(self, lo: Optional[Fraction], hi: Fraction, coeff: float, exponent: float):
+    def __init__(self, lo: Fraction | None, hi: Fraction, coeff: float, exponent: float):
         lo = None if lo is None else _to_fraction(lo)
         hi = _to_fraction(hi)
         if lo is not None and lo >= hi:
@@ -50,30 +50,6 @@ class DensityPiece:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "exponent", exponent)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityPiece is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("DensityPiece is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DensityPiece)
-            and self.lo == other.lo
-            and self.hi == other.hi
-            and self.coeff == other.coeff
-            and self.exponent == other.exponent
-        )
-
-    def __hash__(self):
-        return hash((self.lo, self.hi, self.coeff, self.exponent))
-
-    def __repr__(self) -> str:
-        return (
-            f"DensityPiece(lo={self.lo!r}, hi={self.hi!r}, "
-            f"coeff={self.coeff!r}, exponent={self.exponent!r})"
-        )
-
     def density(self, u: float) -> float:
         return self.coeff * (1.0 - u) ** self.exponent
 
@@ -84,7 +60,7 @@ class DensityPiece:
 
 
 def _integrate_terms_in_t(
-    terms: Sequence[Tuple[float, float]], lo: Optional[Fraction], hi: Fraction
+    terms: Sequence[tuple[float, float]], lo: Fraction | None, hi: Fraction
 ) -> float:
     """Integral over u in [lo, hi] of sum coeff*(1-u)**e, via t = 1-u.
 
@@ -97,7 +73,7 @@ def _integrate_terms_in_t(
     t0 = 1.0 - float(hi)
     if lo is None:
         convergent = 0.0
-        divergent: Dict[float, float] = {}
+        divergent: dict[float, float] = {}
         for c, e in terms:
             if e < -1.0:
                 convergent += -c * t0 ** (e + 1.0) / (e + 1.0)
@@ -121,7 +97,7 @@ def _integrate_terms_in_t(
 
 def _expr_times_density_terms(
     expr: _Expr, piece: DensityPiece
-) -> List[Tuple[float, float]]:
+) -> list[tuple[float, float]]:
     """(slope*u + intercept + sum c*(1-u)**a) * k*(1-u)**q as t-power terms."""
     k, q = piece.coeff, float(piece.exponent)
     a_const = float(expr.slope) + float(expr.intercept)  # u = 1 - t
@@ -132,14 +108,14 @@ def _expr_times_density_terms(
     return out
 
 
-class Measure1D:
+class Measure1D(Frozen):
     """Nonnegative measure: finitely many atoms plus catalog densities."""
 
     __slots__ = ("atoms", "densities")
 
     def __init__(
         self,
-        atoms: Sequence[Tuple[Fraction, Number]] = (),
+        atoms: Sequence[tuple[Fraction, Number]] = (),
         densities: Sequence[DensityPiece] = (),
     ):
         atoms = tuple((_to_fraction(loc), m) for loc, m in atoms)
@@ -153,27 +129,8 @@ class Measure1D:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "densities", densities)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Measure1D is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Measure1D is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Measure1D)
-            and self.atoms == other.atoms
-            and self.densities == other.densities
-        )
-
-    def __hash__(self):
-        return hash((self.atoms, self.densities))
-
-    def __repr__(self) -> str:
-        return f"Measure1D(atoms={self.atoms!r}, densities={self.densities!r})"
-
     @property
-    def total_mass(self) -> Union[Fraction, float]:
+    def total_mass(self) -> Fraction | float:
         """Exact Fraction when there are no densities and the atom masses
         are rational; float otherwise."""
         total = sum((m for _, m in self.atoms), Fraction(0))
@@ -194,12 +151,12 @@ def monge_ampere(f: ConcaveFn) -> Measure1D:
     exactly without densities, up to float rounding of alpha - 2 and
     1 - alpha.
     """
-    atoms: List[Tuple[Fraction, Number]] = []
+    atoms: list[tuple[Fraction, Number]] = []
     for i, t in enumerate(f.breakpoints):
         gap = f.pieces[i].derivative(t) - f.pieces[i + 1].derivative(t)
         if gap > 0:
             atoms.append((t, gap))
-    densities: List[DensityPiece] = []
+    densities: list[DensityPiece] = []
     for lo, hi, piece in f.intervals():
         if isinstance(piece, AlphaPiece):
             n, d = piece.alpha.as_integer_ratio()
@@ -209,10 +166,10 @@ def monge_ampere(f: ConcaveFn) -> Measure1D:
 
 
 def integrate_against(
-    pair: Tuple[ConcaveFn, ConcaveFn],
+    pair: tuple[ConcaveFn, ConcaveFn],
     mu: Measure1D,
     method: str = "exact",
-) -> Union[Fraction, float]:
+) -> Fraction | float:
     """Integral of f - g against mu.
 
     Atoms are summed directly: the sum is a Fraction while every mass and
@@ -334,7 +291,7 @@ class WeakConvergenceReport:
 
     __slots__ = ("fn_gaps", "mass_gaps", "tol")
 
-    def __init__(self, fn_gaps: List[List[float]], mass_gaps: List[float], tol: float):
+    def __init__(self, fn_gaps: list[list[float]], mass_gaps: list[float], tol: float):
         self.fn_gaps, self.mass_gaps, self.tol = fn_gaps, mass_gaps, tol
 
     @property

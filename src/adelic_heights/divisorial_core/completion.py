@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .cones import DivisorialSpace, d_b
 from ..scalars import _to_fraction

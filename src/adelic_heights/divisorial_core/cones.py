@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
-from ..scalars import _to_fraction
+from ..scalars import Frozen, _to_fraction
 from .vectors import RationalVector
 
 
-class Constraint:
+class Constraint(Frozen):
     """Homogeneous half-space condition row . x >= 0 (or > 0 when strict)."""
 
     __slots__ = ("row", "strict")
@@ -27,12 +27,6 @@ class Constraint:
         object.__setattr__(self, "row", tuple(_to_fraction(c) for c in row))
         object.__setattr__(self, "strict", strict)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Constraint is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Constraint is immutable")
-
     def value(self, x: RationalVector) -> Fraction:
         return sum((r * c for r, c in zip(self.row, x)), Fraction(0))
 
@@ -40,21 +34,8 @@ class Constraint:
         v = self.value(x)
         return v > 0 if self.strict else v >= 0
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Constraint)
-            and self.row == other.row
-            and self.strict == other.strict
-        )
 
-    def __hash__(self):
-        return hash((self.row, self.strict))
-
-    def __repr__(self) -> str:
-        return f"Constraint(row={self.row!r}, strict={self.strict!r})"
-
-
-class Cell:
+class Cell(Frozen):
     """Intersection of finitely many homogeneous constraints."""
 
     __slots__ = ("constraints",)
@@ -62,26 +43,11 @@ class Cell:
     def __init__(self, constraints: Iterable[Constraint]):
         object.__setattr__(self, "constraints", tuple(constraints))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Cell is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Cell is immutable")
-
     def contains(self, x: RationalVector) -> bool:
         return all(c.satisfied(x) for c in self.constraints)
 
     def relaxed(self) -> "Cell":
         return Cell(tuple(Constraint(c.row, strict=False) for c in self.constraints))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Cell) and self.constraints == other.constraints
-
-    def __hash__(self):
-        return hash(self.constraints)
-
-    def __repr__(self) -> str:
-        return f"Cell(constraints={self.constraints!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +134,7 @@ def cell_has_nonzero_point(cell: Cell, dim: int) -> bool:
     return False
 
 
-def _delta_inf(rows) -> Optional[Fraction]:
+def _delta_inf(rows) -> Fraction | None:
     """Infimum of the delta >= 0 with base + delta*rate >= 0 (> 0 when
     strict) for every (base, rate, strict) row; None when there is none."""
     lo, lo_strict = Fraction(0), False
@@ -214,7 +180,7 @@ class SemilinearCone:
         self,
         cells: Iterable[Cell],
         ambient_dim: int,
-        generators: Optional[Sequence[RationalVector]] = None,
+        generators: Sequence[RationalVector] | None = None,
     ):
         self.cells = tuple(cells)
         self.ambient_dim = ambient_dim

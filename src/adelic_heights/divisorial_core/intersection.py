@@ -4,8 +4,8 @@ extension to the metric completion."""
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
 
 from .cones import DivisorialSpace
 from .completion import CompletionElement
@@ -33,14 +33,14 @@ class IntersectionMap:
         self,
         space: DivisorialSpace,
         arity: int,
-        table: Dict[Tuple[int, ...], object],
+        table: dict[tuple[int, ...], object],
     ):
         if arity < 1:
             raise ValueError("arity must be at least 1")
         self.space = space
         self.arity = arity
         self.dim = space.ambient_dim
-        self.table: Dict[Tuple[int, ...], Fraction] = {}
+        self.table: dict[tuple[int, ...], Fraction] = {}
         for idx, val in table.items():
             if len(idx) != arity:
                 raise ValueError("table key has wrong length")
@@ -52,7 +52,7 @@ class IntersectionMap:
                 raise ValueError(f"conflicting values for symmetric key {key}")
             self.table[key] = val
 
-    def coefficient(self, idx: Tuple[int, ...]) -> Fraction:
+    def coefficient(self, idx: tuple[int, ...]) -> Fraction:
         return self.table.get(tuple(sorted(idx)), Fraction(0))
 
     def evaluate(self, args: Sequence[RationalVector]) -> Fraction:

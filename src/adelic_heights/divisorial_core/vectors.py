@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
 
-from ..scalars import _to_fraction
+from ..scalars import Frozen, _to_fraction
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
-class RationalVector:
+class RationalVector(Frozen):
     """Immutable vector with Fraction coordinates.
 
     All arithmetic is exact. Supports +, -, unary -, and scalar
@@ -21,12 +21,6 @@ class RationalVector:
 
     def __init__(self, coords: Iterable):
         object.__setattr__(self, "coords", tuple(_to_fraction(c) for c in coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalVector is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("RationalVector is immutable")
 
     @property
     def dim(self) -> int:
@@ -68,12 +62,6 @@ class RationalVector:
     def _check_dim(self, other: "RationalVector") -> None:
         if len(self.coords) != len(other.coords):
             raise ValueError("dimension mismatch")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalVector) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
 
     def __repr__(self) -> str:
         return f"RationalVector({', '.join(str(c) for c in self.coords)})"

@@ -1,15 +1,17 @@
-"""The scalar coercions every layer shares: exact Fractions for ints and
-rational strings, finite floats passed through (_num) or converted exactly
-(_to_fraction)."""
+"""What every layer shares: the scalar coercions (exact Fractions for ints
+and rational strings, finite floats passed through by _num or converted
+exactly by _to_fraction), and Frozen, the one base of the read-only value
+classes (divisors, places, profiles and their pieces, duals, measures,
+constraints, cells and vectors)."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from operator import attrgetter
 
 
-def _num(x) -> Union[Fraction, float]:
+def _num(x) -> Fraction | float:
     """The one scalar coercion: ints and strings become exact Fractions,
     Fractions and finite floats pass through. Bools, non-finite floats and
     unparseable strings raise ValueError; other types raise TypeError."""
@@ -37,3 +39,34 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     return Fraction(_num(x))
+
+
+class Frozen:
+    """A read-only value whose fields are its __slots__.
+
+    Setting or deleting an attribute raises AttributeError, so a
+    constructor stores its normalised fields with object.__setattr__.
+    Two values are equal when they have the same type and equal fields,
+    and hash by their fields; the repr is Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

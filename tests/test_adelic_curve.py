@@ -307,6 +307,16 @@ class TestFamily:
         assert fam.singular_places == (Place.prime(2),)
         assert shifted.singular_places == ()
 
+    def test_singular_places_are_decided_per_profile(self):
+        # one wrong-slope place must not mark a bounded shift elsewhere singular
+        divisor = ToricCompactifiedDivisor(1, 1)
+        wrong = ConcaveFn([0], [AffinePiece(2, 0), AffinePiece(-1, 0)])
+        bounded = canonical_fn(divisor).shift(-1)
+        fam = AdelicFamily(divisor, {Place.prime(2): wrong, Place.prime(3): bounded}, strict=False)
+        assert not fam.slope_valid
+        assert fam.singular_places == (Place.prime(2),)
+        assert strongly_nef_local_check(bounded, divisor) == (True, True)
+
     def test_exception_values_must_be_profiles(self):
         with pytest.raises(TypeError, match="exception values must be concave profiles"):
             AdelicFamily(hyperplane_divisor(), {Place.prime(2): "x"})

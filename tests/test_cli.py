@@ -559,6 +559,8 @@ IO_ERRORS = [
     ("height", "--input", HERE),
 ]
 EXIT_CASES += [(25 + i, argv, 2) for i, argv in enumerate(IO_ERRORS)]
+# exceptions that is not an array is malformed input
+EXIT_CASES.append((28, ("height", "--input", '{"divisor":{"a":0,"b":1},"exceptions":5}'), 2))
 
 
 class TestInputRobustness:
@@ -647,9 +649,9 @@ class TestPlumbing:
         ids=lambda argv: argv[0],
     )
     def test_subcommand_loads_only_its_layers(self, argv):
-        """Start-up cost: no subcommand loads dataclasses or inspect, and
-        only core-demo loads the divisorial core's cones, completions and
-        pairings."""
+        """Start-up cost: no subcommand loads dataclasses, inspect or
+        typing, and only core-demo loads the divisorial core's cones,
+        completions and pairings."""
         src_root = str(Path(cli.__file__).resolve().parents[1])
         code = (
             "import json, sys\n"
@@ -663,7 +665,7 @@ class TestPlumbing:
         )
         exit_code, loaded = json.loads(proc.stderr.splitlines()[-1])
         assert exit_code == 0
-        assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+        assert {"dataclasses", "inspect", "typing"}.isdisjoint(loaded)
         core = {f"adelic_heights.divisorial_core.{m}" for m in ("cones", "completion", "intersection")}
         if argv[0] == "core-demo":
             assert core <= set(loaded)

@@ -1,6 +1,6 @@
-"""The value classes of every layer: equality and hashing over their
-fields, the normalisation each constructor applies, immutability, and the
-star-import surface of each layer."""
+"""The value classes of every layer: one read-only base for all of them,
+equality and hashing over their fields, the normalisation each
+constructor applies, and the star-import surface of each layer."""
 
 import importlib
 from fractions import Fraction as F
@@ -9,6 +9,7 @@ import pytest
 
 from adelic_heights.adelic_curve import (
     AdelicFamily,
+    LogLinear,
     NefStatus,
     Place,
     ToricCompactifiedDivisor,
@@ -24,12 +25,14 @@ from adelic_heights.convex_calculus import (
     AlphaPiece,
     ConcaveFn,
     DensityPiece,
+    DualFn,
     DualPiece,
     Measure1D,
     PowerTerm,
     legendre_dual,
 )
-from adelic_heights.divisorial_core import Cell, Constraint
+from adelic_heights.divisorial_core import Cell, Constraint, RationalVector
+from adelic_heights.scalars import Frozen
 
 DIVISOR = ToricCompactifiedDivisor(0, 1)
 
@@ -63,6 +66,22 @@ VALUES = {
         NefStatus("S_ample", F(0)),
     ),
     "Place": (Place(2), Place.prime(2), Place.infinity()),
+    "LogLinear": (LogLinear({2: 1}), LogLinear({2: F(1), 3: 0}), LogLinear({3: 1})),
+    "ToricCompactifiedDivisor": (
+        ToricCompactifiedDivisor(0, 1),
+        ToricCompactifiedDivisor(F(0), "1"),
+        ToricCompactifiedDivisor(1, 1),
+    ),
+    "ConcaveFn": (
+        canonical_fn(DIVISOR),
+        ConcaveFn(["0"], [AffinePiece(1, 0), AffinePiece(F(0), F(0))]),
+        canonical_fn(DIVISOR).shift(1),
+    ),
+    "DualFn": (
+        legendre_dual(canonical_fn(DIVISOR).shift(F(1, 3))),
+        DualFn(F(0), "1", (), (DualPiece(F(0), "-1/3"),)),
+        legendre_dual(canonical_fn(DIVISOR)),
+    ),
     "Constraint": (
         Constraint((1, 0)),
         Constraint([F(1), F(0)], strict=False),
@@ -73,7 +92,21 @@ VALUES = {
         Cell([Constraint((1, 0))]),
         Cell(()),
     ),
+    "RationalVector": (
+        RationalVector([1, F(1, 2)]),
+        RationalVector(["1", "1/2"]),
+        RationalVector([1, 0]),
+    ),
 }
+
+
+def test_one_base_holds_the_value_rules():
+    # the rules live in Frozen alone; LogLinear hashes its dict field itself
+    classes = {type(value) for value, _, _ in VALUES.values()}
+    assert classes == set(Frozen.__subclasses__())
+    for cls in classes:
+        own = {"__setattr__", "__delattr__", "__eq__", "__hash__"} & set(vars(cls))
+        assert own == ({"__hash__"} if cls is LogLinear else set()), cls.__name__
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -92,11 +125,12 @@ def test_value_classes_are_immutable(name):
     value, _, _ = VALUES[name]
     field = type(value).__slots__[0]
     before = getattr(value, field)
-    with pytest.raises(AttributeError):
+    refusal = f"^{name} is read-only$"
+    with pytest.raises(AttributeError, match=refusal):
         setattr(value, field, before)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=refusal):
         delattr(value, field)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=refusal):
         value.extra = 1
     assert getattr(value, field) == before
 
