@@ -75,18 +75,17 @@ def point_height_exact(family: AdelicFamily, t) -> LogLinear:
     if family.exceptions:
         raise ValueError("exact heights need the canonical profile everywhere")
     a, b = family.divisor.a, family.divisor.b
-    total = LogLinear.zero()
+    coeffs = {}
     for place in support(t):
         v = _valuation(t, place.p)
-        coeff = a * v if v >= 0 else -b * v
-        total = total + LogLinear({place.p: coeff})
+        c = a * v if v >= 0 else -b * v
+        if c:
+            coeffs[place.p] = c
     # archimedean contribution: the sign of -log|t| is the sign of 1 - |t|
-    log_t = log_abs(t, Place.infinity())
-    if abs(t) <= 1:
-        total = total + log_t.scale(-a)
-    else:
-        total = total + log_t.scale(b)
-    return total
+    s = -a if abs(t) <= 1 else b
+    for p, e in log_abs(t, Place.infinity()).coeffs.items():
+        coeffs[p] = coeffs[p] + s * e if p in coeffs else s * e
+    return LogLinear._of({p: c for p, c in coeffs.items() if c})
 
 
 def boundary_height(family: AdelicFamily, point: str) -> Real:

@@ -8,7 +8,7 @@ certify exactly instead of within floating-point error.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -164,8 +164,8 @@ def _rho_brent(n: int, budget: int) -> tuple[int, int]:
     return 0, 0
 
 
-# each memo entry holds about 440 B, so 4096 of them stay under 2 MB
-@lru_cache(maxsize=4096)
+# each memo entry holds about 440 B, so 1024 of them stay under 0.5 MB
+@lru_cache(maxsize=1024)
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of the integer n >= 1 as sorted (p, e) pairs.
 
@@ -206,6 +206,13 @@ class Place(Frozen):
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
 
+    @classmethod
+    def _proven(cls, p: int) -> "Place":
+        """The place of a prime that _factor has already proven."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "p", p)
+        return place
+
     @property
     def is_infinite(self) -> bool:
         return self.p is None
@@ -241,21 +248,43 @@ class LogLinear(Frozen):
                 clean[int(p)] = c
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _of(cls, coeffs: dict[int, Fraction]) -> "LogLinear":
+        """The combination with these coefficients: int keys and nonzero
+        Fraction values, taken as they are."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "coeffs", coeffs)
+        return x
+
+    @staticmethod
+    def sum(terms: Iterable["LogLinear"]) -> "LogLinear":
+        """The sum of the terms, accumulated into one dict. A coefficient
+        that cancels leaves at once, so the order of the coefficients (and
+        of the float sum in __float__) is that of adding term by term."""
+        out: dict[int, Fraction] = {}
+        for term in terms:
+            for p, c in term.coeffs.items():
+                total = out[p] + c if p in out else c
+                if total:
+                    out[p] = total
+                else:
+                    del out[p]
+        return LogLinear._of(out)
+
     def __add__(self, other: "LogLinear") -> "LogLinear":
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return LogLinear(out)
+        return LogLinear.sum((self, other))
 
     def __sub__(self, other: "LogLinear") -> "LogLinear":
         return self + (-other)
 
     def __neg__(self) -> "LogLinear":
-        return LogLinear({p: -c for p, c in self.coeffs.items()})
+        return LogLinear._of({p: -c for p, c in self.coeffs.items()})
 
     def scale(self, s) -> "LogLinear":
         s = _to_fraction(s)
-        return LogLinear({p: s * c for p, c in self.coeffs.items()})
+        if not s:
+            return LogLinear.zero()
+        return LogLinear._of({p: s * c for p, c in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -295,9 +324,9 @@ def support(q) -> list[Place]:
     q = _to_fraction(q)
     if q == 0:
         raise ValueError("zero has no finite support")
-    primes = {p for p, _ in _factor(abs(q.numerator))}
-    primes |= {p for p, _ in _factor(q.denominator)}
-    return [Place.prime(p) for p in sorted(primes)]
+    primes = [p for p, _ in _factor(abs(q.numerator))]
+    primes += [p for p, _ in _factor(q.denominator)]
+    return [Place._proven(p) for p in sorted(primes)]
 
 
 def abs_value(q, place: Place) -> Fraction:
@@ -317,13 +346,13 @@ def log_abs(q, place: Place) -> LogLinear:
     if q == 0:
         raise ValueError("log|0| is undefined")
     if place.is_infinite:
-        coeffs: dict[int, Fraction] = {}
-        for p, e in _factor(abs(q.numerator)):
-            coeffs[p] = coeffs.get(p, Fraction(0)) + e
+        # the numerator and the denominator share no prime
+        coeffs = {p: Fraction(e) for p, e in _factor(abs(q.numerator))}
         for p, e in _factor(q.denominator):
-            coeffs[p] = coeffs.get(p, Fraction(0)) - e
-        return LogLinear(coeffs)
-    return LogLinear({place.p: -_valuation(q, place.p)})
+            coeffs[p] = Fraction(-e)
+        return LogLinear._of(coeffs)
+    v = _valuation(q, place.p)
+    return LogLinear._of({place.p: Fraction(-v)} if v else {})
 
 
 def log_abs_by_place(q) -> Iterator[tuple[Place, LogLinear]]:
@@ -339,4 +368,4 @@ def product_formula_check(q) -> LogLinear:
 
     Returns the exact symbolic total; it is the zero combination for every
     nonzero rational."""
-    return sum((term for _, term in log_abs_by_place(q)), LogLinear.zero())
+    return LogLinear.sum(term for _, term in log_abs_by_place(q))

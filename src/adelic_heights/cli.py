@@ -418,7 +418,7 @@ def cmd_product_formula(args) -> dict:
     if q == 0:
         raise ValueError("the product formula needs a nonzero rational")
     terms = list(log_abs_by_place(q))
-    total = sum((term for _, term in terms), LogLinear.zero())
+    total = LogLinear.sum(term for _, term in terms)
     return {
         "q": encode_number(q),
         "contributions": [

@@ -27,12 +27,26 @@ class Constraint(Frozen):
         object.__setattr__(self, "row", tuple(_to_fraction(c) for c in row))
         object.__setattr__(self, "strict", strict)
 
+    def _dot(self, x: RationalVector) -> tuple[int, int]:
+        """row . x as an integer numerator over a positive denominator,
+        not reduced; zero entries are skipped."""
+        num, den = 0, 1
+        for r, c in zip(self.row, x):
+            if r and c:
+                n = r.numerator * c.numerator
+                d = r.denominator * c.denominator
+                if d == den:
+                    num += n
+                else:
+                    num, den = num * d + n * den, den * d
+        return num, den
+
     def value(self, x: RationalVector) -> Fraction:
-        return sum((r * c for r, c in zip(self.row, x)), Fraction(0))
+        return Fraction(*self._dot(x))
 
     def satisfied(self, x: RationalVector) -> bool:
-        v = self.value(x)
-        return v > 0 if self.strict else v >= 0
+        num = self._dot(x)[0]
+        return num > 0 if self.strict else num >= 0
 
 
 class Cell(Frozen):
@@ -76,15 +90,16 @@ def _eliminate(rows: Iterable, variables: Iterable[int]) -> list:
     """Rows whose solution set is the projection of the rows' solution set
     along the given coordinates, where their coefficients are all zero.
 
-    Rows are kept as coprime integers. Each step eliminates the variable
-    with the fewest positive x negative row pairs, then drops repeated
-    rows and rows that every point satisfies. A row that no point
-    satisfies is returned alone."""
+    Rows are made coprime integers once, on entry or when combined. Each
+    step eliminates the variable with the fewest positive x negative row
+    pairs, then drops repeated rows and rows that every point satisfies.
+    A row that no point satisfies is returned alone."""
     left = list(variables)
+    rows = [_primitive(*row) for row in rows]
     while True:
         kept = {}
         for row in rows:
-            coeffs, const, strict = row = _primitive(*row)
+            coeffs, const, strict = row
             if any(coeffs):
                 kept[row] = None
             elif not (const > 0 if strict else const >= 0):
@@ -101,8 +116,11 @@ def _eliminate(rows: Iterable, variables: Iterable[int]) -> list:
             for cn, bn, sn in neg:
                 # scale so the i-th coefficients cancel; both scales positive
                 lam, mu = -cn[i], cp[i]
-                coeffs = tuple(lam * a + mu * b for a, b in zip(cp, cn))
-                rows.append((coeffs, lam * bp + mu * bn, sp or sn))
+                coeffs = [lam * a + mu * b for a, b in zip(cp, cn)]
+                const = lam * bp + mu * bn
+                g = math.gcd(*coeffs, const) or 1
+                coeffs = tuple(a // g for a in coeffs)
+                rows.append((coeffs, const // g, sp or sn))
 
 
 def _feasible(rows: Iterable, n: int) -> bool:
@@ -325,11 +343,13 @@ def d_b(
         raise ValueError("gauge b must lie in the order cone")
     diff = x - y
 
-    def rows(cell: Cell, sign: int) -> list:
-        return [(sign * c.value(diff), c.value(b), c.strict) for c in cell.constraints]
-
     cells = space.order_cone.cells
-    plus = [rows(cell, 1) for cell in cells]  # diff + delta*b in N
-    minus = [rows(cell, -1) for cell in cells]  # delta*b - diff in N
+    # diff + delta*b in N
+    plus = [
+        [(c.value(diff), c.value(b), c.strict) for c in cell.constraints]
+        for cell in cells
+    ]
+    # delta*b - diff in N
+    minus = [[(-v, w, strict) for v, w, strict in rows] for rows in plus]
     infs = (_delta_inf(ra + rb) for ra in plus for rb in minus)
     return min([Fraction(1), *(d for d in infs if d is not None)])

@@ -47,7 +47,9 @@ class Frozen:
     Setting or deleting an attribute raises AttributeError, so a
     constructor stores its normalised fields with object.__setattr__.
     Two values are equal when they have the same type and equal fields,
-    and hash by their fields; the repr is Name(field=value, ...)."""
+    and hash by their fields; the repr is Name(field=value, ...). The
+    constructor takes the fields in slot order, which is how copy and
+    pickle rebuild a value."""
 
     __slots__ = ()
 
@@ -66,6 +68,10 @@ class Frozen:
 
     def __hash__(self):
         return hash(self._fields(self))
+
+    def __reduce__(self):
+        fields = self._fields(self)
+        return type(self), fields if len(self.__slots__) > 1 else (fields,)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

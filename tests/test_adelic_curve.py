@@ -144,6 +144,100 @@ class TestPlaces:
         assert product_formula_check(q).is_zero()
 
 
+def _pairwise_add(x, y):
+    """LogLinear addition by a fresh public constructor per sum."""
+    out = dict(x.coeffs)
+    for p, c in y.coeffs.items():
+        out[p] = out.get(p, F(0)) + c
+    return LogLinear(out)
+
+
+def _pairwise_point_height(divisor, t):
+    """The exact point height of the canonical family summed one place at
+    a time, through the public LogLinear constructor."""
+    a, b = divisor.a, divisor.b
+    total = LogLinear({})
+    for place in support(t):
+        v = places._valuation(t, place.p)
+        total = _pairwise_add(total, LogLinear({place.p: a * v if v >= 0 else -b * v}))
+    log_t = log_abs(t, INF)
+    s = -a if abs(t) <= 1 else b
+    return _pairwise_add(total, LogLinear({p: s * c for p, c in log_t.coeffs.items()}))
+
+
+divisors = st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.fractions(min_value=0, max_value=3, max_denominator=7),
+).filter(lambda ab: ab[0] + ab[1] >= 0)
+
+
+class TestOnePassSums:
+    @given(rationals, divisors)
+    @example(F(12, 5), (F(0), F(1)))
+    @example(F(1, 8), (F(-1), F(1)))
+    @settings(max_examples=100, deadline=None)
+    def test_point_height_exact_matches_pairwise_sums(self, t, ab):
+        divisor = ToricCompactifiedDivisor(*ab)
+        got = point_height_exact(AdelicFamily(divisor), t)
+        want = _pairwise_point_height(divisor, t)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        # the same coefficients in the same order, so the same float
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert all(type(c) is F and c for c in got.coeffs.values())
+        if got.coeffs:
+            assert float(got) == float(want)
+
+    @given(rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_product_formula_and_support(self, q):
+        assert product_formula_check(q).is_zero()
+        terms = [term for _, term in places.log_abs_by_place(q)]
+        pairwise = LogLinear({})
+        for term in terms:
+            pairwise = _pairwise_add(pairwise, term)
+        assert LogLinear.sum(terms) == pairwise == LogLinear.zero()
+        factors = places._factor(abs(q.numerator)) + places._factor(q.denominator)
+        want = [Place.prime(p) for p in sorted(p for p, _ in factors)]
+        got = support(q)
+        assert got == want
+        assert [hash(p) for p in got] == [hash(p) for p in want]
+        assert [repr(p) for p in got] == [repr(p) for p in want]
+
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from([2, 3, 5, 7]), st.fractions(-4, 4, max_denominator=6)
+            ),
+            max_size=5,
+        ),
+        st.fractions(-3, 3, max_denominator=5),
+    )
+    # log 7 cancels in the second term and comes back in the third
+    @example([{7: F(-7, 3)}, {7: F(7, 3), 2: F(1)}, {7: F(1)}], F(0))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_scale_and_negation_match_pairwise(self, dicts, s):
+        terms = [LogLinear(d) for d in dicts]
+        pairwise = LogLinear.zero()
+        for term in terms:
+            pairwise = _pairwise_add(pairwise, term)
+        total = LogLinear.sum(terms)
+        assert total == pairwise
+        assert list(total.coeffs.items()) == list(pairwise.coeffs.items())
+        for x, y in zip(terms, terms[1:]):
+            assert list((x + y).coeffs.items()) == list(_pairwise_add(x, y).coeffs.items())
+        assert total.scale(s) == LogLinear({p: s * c for p, c in pairwise.coeffs.items()})
+        assert -total == LogLinear({p: -c for p, c in pairwise.coeffs.items()})
+        assert (total - total).is_zero() and total.scale(0) == LogLinear.zero()
+        assert all(c for c in total.scale(s).coeffs.values())
+
+    def test_public_constructors_still_validate(self):
+        for bad in (4, 1, 0, -3, 2.0):
+            with pytest.raises(ValueError, match="not prime"):
+                Place.prime(bad)
+            with pytest.raises(ValueError, match="not prime"):
+                Place(bad)
+
+
 # psi_k, the least strong pseudoprime to the first k prime bases, k = 1..13
 # (psi_7 = psi_8, psi_9 = psi_10 = psi_11)
 STRONG_PSEUDOPRIMES = (

@@ -186,6 +186,22 @@ class TestProductFormula:
         places = [c["place"] for c in payload["contributions"]]
         assert places == [2, 3, 5, "inf"]
 
+    def test_output_is_pinned(self, capsys):
+        # -360/1001 = -2^3 3^2 5 / (7 11 13): a zero or pole at six primes
+        finite = [(2, -3), (3, -2), (5, -1), (7, 1), (11, 1), (13, 1)]
+        expected = {
+            "q": "-360/1001",
+            "contributions": [
+                {"place": p, "log_abs": {str(p): c}} for p, c in finite
+            ]
+            + [{"place": "inf", "log_abs": {str(p): -c for p, c in finite}}],
+            "total": {},
+            "result": "0 (exact)",
+        }
+        code, out, _ = run(capsys, "product-formula", "--", "-360/1001")
+        assert code == 0
+        assert out == json.dumps(expected, indent=2) + "\n"
+
     def test_zero_is_precondition_error(self, capsys):
         code, _, err = run(capsys, "product-formula", "0")
         assert code == 3

@@ -1,6 +1,7 @@
 """Exact cone geometry, the order metric, and pairing extension."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from adelic_heights.divisorial_core import (
     extend_intersection,
     leq,
 )
+from adelic_heights.divisorial_core import cones
 
 V = RationalVector
 F = Fraction
@@ -311,6 +313,142 @@ class TestClosureWitness:
             assert cone.closure().contains(x) == self.witness_criterion(
                 cone, x, gens + [gens[0] + gens[1]], ns
             )
+
+
+def _oracle_primitive(coeffs, const, strict):
+    entries = (*coeffs, const)
+    scale = math.lcm(*(e.denominator for e in entries))
+    ints = [e.numerator * (scale // e.denominator) for e in entries]
+    g = math.gcd(*ints) or 1
+    return tuple(e // g for e in ints[:-1]), ints[-1] // g, strict
+
+
+def _oracle_eliminate(rows, variables):
+    """Fourier-Motzkin elimination that brings every row, kept or new, to
+    coprime integers again at every step."""
+    left = list(variables)
+    while True:
+        kept = {}
+        for row in rows:
+            coeffs, const, strict = row = _oracle_primitive(*row)
+            if any(coeffs):
+                kept[row] = None
+            elif not (const > 0 if strict else const >= 0):
+                return [row]
+        rows = list(kept)
+        if not left:
+            return rows
+
+        def pairs(j):
+            return sum(r[0][j] > 0 for r in rows) * sum(r[0][j] < 0 for r in rows)
+
+        i = min(left, key=pairs)
+        left.remove(i)
+        pos = [r for r in rows if r[0][i] > 0]
+        neg = [r for r in rows if r[0][i] < 0]
+        rows = [r for r in rows if r[0][i] == 0]
+        for cp, bp, sp in pos:
+            for cn, bn, sn in neg:
+                lam, mu = -cn[i], cp[i]
+                coeffs = tuple(lam * a + mu * b for a, b in zip(cp, cn))
+                rows.append((coeffs, lam * bp + mu * bn, sp or sn))
+
+
+entry = st.one_of(st.just(F(0)), st.fractions(min_value=-40, max_value=40, max_denominator=30))
+
+
+@st.composite
+def systems(draw):
+    """At most six rows (coeffs, const, strict) in at most four variables."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    coeffs = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(st.tuples(coeffs, entry, st.booleans()), max_size=6))
+    return n, rows
+
+
+@st.composite
+def rows_and_vectors(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    vector = st.lists(entry, min_size=n, max_size=n)
+    return draw(vector), draw(vector)
+
+
+class TestExactKernels:
+    @given(rows_and_vectors(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_constraint_value_is_the_naive_sum(self, row_x, strict):
+        row, x = row_x
+        c = Constraint(row, strict)
+        naive = sum((r * v for r, v in zip(row, x)), Fraction(0))
+        value = c.value(V(x))
+        assert value == naive and type(value) is Fraction
+        assert c.satisfied(V(x)) == (naive > 0 if strict else naive >= 0)
+
+    def test_constraint_value_of_large_and_mixed_denominators(self):
+        row = (F(10**12 + 39, 7), F(0), F(-3, 10**9), F(5, 6))
+        x = V([F(1, 3), F(10**15), F(7, 2), F(-6, 5)])
+        assert Constraint(row).value(x) == sum((r * v for r, v in zip(row, x)), F(0))
+        assert Constraint((0, 0)).value(V([1, 2])) == 0
+
+    @given(systems())
+    @settings(max_examples=200, deadline=None)
+    def test_elimination_matches_the_oracle(self, system):
+        n, rows = system
+        for variables in (range(n), range(n - 1)):
+            got = cones._eliminate(rows, variables)
+            want = _oracle_eliminate(rows, variables)
+            assert got == want
+            assert len(set(got)) == len(got)
+            for coeffs, const, _ in got:
+                assert all(type(a) is int for a in (*coeffs, const))
+                assert math.gcd(*coeffs, const) in (0, 1)
+        assert cones._feasible(rows, n) == (not _oracle_eliminate(rows, range(n)))
+
+    def test_core_fixtures_agree_with_the_oracle(self, monkeypatch):
+        empty = Cell((Constraint((1, 0), strict=True), Constraint((-1, 0), strict=True)))
+        open_half = Cell((Constraint((0, 1, -1), strict=True),))
+
+        def outcomes():
+            out = []
+            fixtures = [
+                lambda: standard_cone(2),
+                lambda: standard_cone(3),
+                lambda: standard_cone(4),
+                half_open_cone,
+                lambda: SemilinearCone.from_generators([V([1, 2]), V([2, 1])], 2),
+                lambda: SemilinearCone.from_generators([V([1, 0]), V([-1, 0]), V([0, 1])], 2),
+                lambda: SemilinearCone.from_generators([V([1, 1]), V([-1, -1])], 2),
+                lambda: SemilinearCone.from_halfspaces([(0, 1)], 2),
+                lambda: SemilinearCone([empty, Cell((Constraint((1, 0)), Constraint((0, 1))))], 2),
+                lambda: SemilinearCone([Cell((Constraint((-1, -1, 2)),)), open_half], 3),
+            ]
+            fixtures += [
+                lambda rows=rows: SemilinearCone.from_halfspaces(rows, len(rows[0]))
+                for rows in (
+                    [(-1, 2, 2), (2, -2, 0), (2, -1, 1)],
+                    [(1, 0), (0, 1), (0, 0)],
+                    [(1, 1, 0), (-1, -1, 0), (0, 0, 1), (1, 0, 0)],
+                )
+            ]
+            for make in fixtures:
+                try:
+                    cone = make()
+                except ValueError as exc:
+                    out.append(str(exc))
+                    continue
+                dim = cone.ambient_dim
+                out.append([cones.cell_is_empty(cell, dim) for cell in cone.cells])
+                out.append(cone.closure().cells)
+                try:
+                    DivisorialSpace(dim, cone)
+                    out.append("space")
+                except ValueError as exc:
+                    out.append(str(exc))
+            return out
+
+        got = outcomes()
+        monkeypatch.setattr(cones, "_eliminate", _oracle_eliminate)
+        assert outcomes() == got
 
 
 def reciprocal_element(sp, b, drift):

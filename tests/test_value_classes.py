@@ -2,7 +2,9 @@
 equality and hashing over their fields, the normalisation each
 constructor applies, and the star-import surface of each layer."""
 
+import copy
 import importlib
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -105,7 +107,8 @@ def test_one_base_holds_the_value_rules():
     classes = {type(value) for value, _, _ in VALUES.values()}
     assert classes == set(Frozen.__subclasses__())
     for cls in classes:
-        own = {"__setattr__", "__delattr__", "__eq__", "__hash__"} & set(vars(cls))
+        rules = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__"}
+        own = rules & set(vars(cls))
         assert own == ({"__hash__"} if cls is LogLinear else set()), cls.__name__
 
 
@@ -133,6 +136,21 @@ def test_value_classes_are_immutable(name):
     with pytest.raises(AttributeError, match=refusal):
         value.extra = 1
     assert getattr(value, field) == before
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_copy_and_pickle_round_trip(name):
+    # rebuilt from the fields in slot order, one field or several
+    value, _, other = VALUES[name]
+    for rebuilt in (
+        copy.copy(value),
+        copy.deepcopy(value),
+        pickle.loads(pickle.dumps(value)),
+    ):
+        assert type(rebuilt) is type(value)
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+        assert repr(rebuilt) == repr(value)
+        assert rebuilt != other
 
 
 class TestNormalisation:
