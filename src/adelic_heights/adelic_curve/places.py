@@ -294,7 +294,7 @@ class LogLinear(Frozen):
         return hash(tuple(sorted(self.coeffs.items())))
 
     def __float__(self) -> float:
-        return sum(float(c) * math.log(p) for p, c in self.coeffs.items())
+        return sum((float(c) * math.log(p) for p, c in self.coeffs.items()), 0.0)
 
     def __repr__(self) -> str:
         if not self.coeffs:

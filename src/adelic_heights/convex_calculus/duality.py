@@ -161,16 +161,18 @@ class DualFn(Frozen):
         float otherwise.
 
         Twice the integral of each rational affine piece,
-        (b - a)*(slope*(a + b) + 2*intercept), goes into one exact sum,
-        halved at the end. A piece with power terms, a float edge or a
-        float coefficient is integrated in floats throughout.
+        (b - a)*(slope*(a + b) + 2*intercept), goes into one exact sum of
+        integer numerator over integer denominator, made a Fraction (or a
+        float) once and halved at the end. A piece with power terms, a
+        float edge or a float coefficient is integrated in floats
+        throughout.
 
         Endpoint singularities with exponent > -1 converge; at -1 and
         below the integral is -inf (positive divergence cannot occur for
         a concave dual, and would raise PositiveDivergenceError)."""
-        twice_exact = Fraction(0)
         if self.is_degenerate():
-            return twice_exact
+            return Fraction(0)
+        num, den = 0, 1  # twice the exact part, not reduced
         inexact, any_float = 0.0, False
         edges = (self.lo, *self.breakpoints, self.hi)
         for piece, a, b in zip(self.pieces, edges, edges[1:]):
@@ -182,15 +184,22 @@ class DualFn(Frozen):
                 and isinstance(s, Fraction)
                 and isinstance(c, Fraction)
             ):
-                twice_exact += (b - a) * (s * (a + b) + 2 * c)
+                an, ad = a.as_integer_ratio()
+                bn, bd = b.as_integer_ratio()
+                sn, sd = s.as_integer_ratio()
+                cn, cd = c.as_integer_ratio()
+                n = (bn * ad - an * bd) * (sn * (an * bd + bn * ad) * cd + 2 * cn * sd * ad * bd)
+                d = (ad * bd) ** 2 * sd * cd
+                num, den = num * d + n * den, den * d
                 continue
             any_float = True
             a, b = float(a), float(b)
             inexact += (b - a) * (float(s) * (a + b) / 2 + float(c))
             inexact += sum(_integrate_power_term(t, a, b) for t in piece.terms)
         if any_float:
-            return float(twice_exact) / 2 + inexact
-        return twice_exact / 2
+            # int / int rounds once, as float() of the reduced Fraction does
+            return num / den / 2 + inexact
+        return Fraction(num, 2 * den)
 
 
 def _integrate_power_term(t: PowerTerm, a: float, b: float) -> float:

@@ -36,7 +36,16 @@ class AffinePiece(Frozen):
         object.__setattr__(self, "intercept", _num(intercept))
 
     def value(self, u):
-        return self.slope * u + self.intercept
+        """A Fraction at a rational u when slope and intercept are
+        rational, built once from integer cross-products; a float once
+        any of the three is a float."""
+        s, c = self.slope, self.intercept
+        if isinstance(s, Fraction) and isinstance(c, Fraction) and isinstance(u, Fraction):
+            sn, sd = s.as_integer_ratio()
+            cn, cd = c.as_integer_ratio()
+            un, ud = u.as_integer_ratio()
+            return Fraction(sn * un * cd + cn * sd * ud, sd * ud * cd)
+        return s * u + c
 
     def derivative(self, u):
         return self.slope
@@ -82,6 +91,14 @@ class AlphaPiece(Frozen):
 
 
 Piece = AffinePiece | AlphaPiece
+
+
+def _rational_affine(p: Piece) -> bool:
+    return (
+        isinstance(p, AffinePiece)
+        and isinstance(p.slope, Fraction)
+        and isinstance(p.intercept, Fraction)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +308,9 @@ class ConcaveFn(Frozen):
 
     def _validate(self) -> None:
         """The one check of each breakpoint's values and slopes, which
-        monge_ampere and legendre_dual trust. Exact when both values are
-        Fractions, that is, both sides are affine with rational
-        coefficients; with a singular or float side, with slack."""
+        monge_ampere and legendre_dual trust. Exact when both sides are
+        affine with rational coefficients, on their integer numerators
+        and denominators; with a singular or float side, with slack."""
         for i, piece in enumerate(self.pieces):
             hi = self.breakpoints[i] if i < len(self.breakpoints) else None
             if isinstance(piece, AlphaPiece):
@@ -303,11 +320,20 @@ class ConcaveFn(Frozen):
                     )
         for i, t in enumerate(self.breakpoints):
             left, right = self.pieces[i], self.pieces[i + 1]
-            lv, rv = left.value(t), right.value(t)
-            ld, rd = left.derivative(t), right.derivative(t)
-            if isinstance(lv, Fraction) and isinstance(rv, Fraction):
-                continuous, concave = lv == rv, ld >= rd
+            if _rational_affine(left) and _rational_affine(right):
+                # (ls - rs)*t == rc - lc and ls >= rs, in integers over
+                # the positive denominators
+                ls, lsd = left.slope.as_integer_ratio()
+                rs, rsd = right.slope.as_integer_ratio()
+                lc, lcd = left.intercept.as_integer_ratio()
+                rc, rcd = right.intercept.as_integer_ratio()
+                tn, td = t.as_integer_ratio()
+                gap = ls * rsd - rs * lsd
+                continuous = gap * tn * lcd * rcd == (rc * lcd - lc * rcd) * lsd * rsd * td
+                concave = gap >= 0
             else:
+                lv, rv = left.value(t), right.value(t)
+                ld, rd = left.derivative(t), right.derivative(t)
                 ld, rd = float(ld), float(rd)
                 continuous = _close(float(lv), float(rv))
                 concave = ld >= rd - 1e-9 * max(1.0, abs(ld), abs(rd))

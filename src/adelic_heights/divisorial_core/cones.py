@@ -154,24 +154,37 @@ def cell_has_nonzero_point(cell: Cell, dim: int) -> bool:
 
 def _delta_inf(rows) -> Fraction | None:
     """Infimum of the delta >= 0 with base + delta*rate >= 0 (> 0 when
-    strict) for every (base, rate, strict) row; None when there is none."""
-    lo, lo_strict = Fraction(0), False
-    hi, hi_strict = None, False
+    strict) for every (base, rate, strict) row; None when there is none.
+
+    Each bound -base/rate is kept as an integer numerator over a positive
+    denominator and compared by cross-multiplication; the upper bound
+    starts at +infinity as 1/0, below which every bound compares. The
+    infimum is made a Fraction once."""
+    lo_n, lo_d, lo_strict = 0, 1, False
+    hi_n, hi_d, hi_strict = 1, 0, False
     for base, rate, strict in rows:
-        if rate == 0:
-            if not (base > 0 if strict else base >= 0):
+        bn, bd = base.as_integer_ratio()
+        rn, rd = rate.as_integer_ratio()
+        if rn == 0:
+            if not (bn > 0 if strict else bn >= 0):
                 return None
             continue
-        bound = -base / rate
-        if rate > 0 and bound >= lo:
-            lo_strict = strict or (bound == lo and lo_strict)
-            lo = bound
-        elif rate < 0 and (hi is None or bound <= hi):
-            hi_strict = strict or (bound == hi and hi_strict)
-            hi = bound
-    if hi is not None and (hi < lo or (hi == lo and (lo_strict or hi_strict))):
+        if rn > 0:
+            n, d = -bn * rd, bd * rn
+            cmp = n * lo_d - lo_n * d  # sign of bound - lo
+            if cmp >= 0:
+                lo_strict = strict or (cmp == 0 and lo_strict)
+                lo_n, lo_d = n, d
+        else:
+            n, d = bn * rd, -bd * rn
+            cmp = n * hi_d - hi_n * d  # sign of bound - hi
+            if cmp <= 0:
+                hi_strict = strict or (cmp == 0 and hi_strict)
+                hi_n, hi_d = n, d
+    cmp = hi_n * lo_d - lo_n * hi_d  # sign of hi - lo
+    if cmp < 0 or (cmp == 0 and (lo_strict or hi_strict)):
         return None
-    return lo
+    return Fraction(lo_n, lo_d)
 
 
 # ---------------------------------------------------------------------------

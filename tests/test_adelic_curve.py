@@ -184,8 +184,7 @@ class TestOnePassSums:
         # the same coefficients in the same order, so the same float
         assert list(got.coeffs.items()) == list(want.coeffs.items())
         assert all(type(c) is F and c for c in got.coeffs.values())
-        if got.coeffs:
-            assert float(got) == float(want)
+        assert float(got) == float(want)
 
     @given(rationals)
     @settings(max_examples=100, deadline=None)
@@ -229,6 +228,14 @@ class TestOnePassSums:
         assert -total == LogLinear({p: -c for p, c in pairwise.coeffs.items()})
         assert (total - total).is_zero() and total.scale(0) == LogLinear.zero()
         assert all(c for c in total.scale(s).coeffs.values())
+
+    def test_zero_combination_is_the_float_zero(self):
+        for total in (
+            product_formula_check(6),
+            point_height_exact(AdelicFamily(ToricCompactifiedDivisor(0, 1)), 1),
+        ):
+            assert total.is_zero()
+            assert type(float(total)) is float and float(total) == 0.0
 
     def test_public_constructors_still_validate(self):
         for bad in (4, 1, 0, -3, 2.0):

@@ -119,6 +119,45 @@ class TestConstruction:
         assert f(10) == 4.0
         assert abs(f(-3) - (-3 + 4 * 4 ** 0.25)) < 1e-12
 
+    @given(
+        st.fractions(-5, 5, max_denominator=7),
+        st.fractions(-9, 9, max_denominator=11),
+        st.fractions(-4, 4, max_denominator=9),
+        st.one_of(st.just(F(0)), st.fractions(-2, 2, max_denominator=5)),
+        st.one_of(st.just(F(0)), st.fractions(-1, 1, max_denominator=13)),
+    )
+    @example(F(1, 2), F(-3, 4), F(-5, 3), F(0), F(0))  # one line: merged
+    @example(F(-2, 3), F(5, 7), F(7, 9), F(-1, 6), F(0))  # convex kink
+    @example(F(3, 5), F(1, 3), F(-2, 7), F(4, 3), F(1, 10**12))  # a tiny jump
+    @settings(max_examples=300, deadline=None)
+    def test_rational_breakpoint_decided_as_in_fractions(self, ls, lc, t, gap, jump):
+        # right slope ls - gap; right intercept continuous at t, plus jump
+        rs = ls - gap
+        rc = gap * t + lc + jump
+        pieces = [AffinePiece(ls, lc), AffinePiece(rs, rc)]
+        if ls * t + lc != rs * t + rc:
+            with pytest.raises(ValueError, match=f"^discontinuity at breakpoint {t}$"):
+                ConcaveFn([t], pieces)
+        elif ls < rs:
+            with pytest.raises(ValueError, match=f"^not concave at breakpoint {t}$"):
+                ConcaveFn([t], pieces)
+        else:
+            assert ConcaveFn([t], pieces).pieces == tuple(dict.fromkeys(pieces))
+
+    @given(
+        st.fractions(-5, 5, max_denominator=10**6),
+        st.fractions(-10**6, 10**6, max_denominator=10**12),
+        st.fractions(-8, 8, max_denominator=10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_affine_value_exact_and_float(self, s, c, u):
+        piece = AffinePiece(s, c)
+        value = piece.value(u)
+        assert type(value) is Fraction and value == s * u + c
+        for p, x in ((AffinePiece(float(s), c), u), (AffinePiece(s, float(c)), u), (piece, float(u))):
+            got = p.value(x)
+            assert type(got) is float and got == p.slope * x + p.intercept
+
 
 class TestMinConcave:
     def test_two_lines_make_ramp(self):
@@ -348,12 +387,24 @@ class TestDualIntegral:
     @example(
         ConcaveFn([0, 2], [AlphaPiece(F(1, 4), 2, 0), AffinePiece(F(1, 2), 4), AffinePiece(0, 5)])
     )
+    @example(
+        ConcaveFn(
+            [0, 2, 4],
+            [
+                AlphaPiece(F(1, 4), 2, 0),
+                AffinePiece(F(3, 4), 4),
+                AffinePiece(F(1, 3), F(29, 6)),
+                AffinePiece(0, F(37, 6)),
+            ],
+        )
+    )
     @settings(max_examples=150, deadline=None)
     def test_alpha_duals_match_the_per_piece_sum(self, psi):
         # Within 1e-15 of the pieces' magnitudes, since the total can cancel
         # to near 0: in the first example it is -0.0269 from pieces of size
         # about 5. The second has a rational affine piece on [0, 1/2] beside
-        # float ones.
+        # float ones; the third two rational affine pieces, on [0, 1/3] and
+        # [1/3, 3/4], beside a float one and a power-term one.
         d = legendre_dual(psi)
         got, (expected, scale) = d.integral(), per_piece_integral(d)
         assert type(got) is type(expected) is float
@@ -361,6 +412,49 @@ class TestDualIntegral:
             assert got == -math.inf
         else:
             assert abs(got - expected) <= 1e-15 * scale
+
+
+class TestFractionChurn:
+    """Rational profiles are validated, dualized and integrated on integer
+    numerators and denominators, building a Fraction per result and none
+    per arithmetic step. The counts are those of these kernels on one
+    fixed profile with 4 breakpoints; Fraction operator chains in their
+    place build 16, 12 and 30."""
+
+    def test_constructions_on_a_rational_profile(self, monkeypatch):
+        f = profile_through(
+            [F(1), F(3, 7), F(-2, 11), F(-5, 13), F(-1)],
+            [F(-7, 3), F(-1, 5), F(2, 9), F(31, 6)],
+            F(5, 17),
+        )
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+: operators skip __new__
+            coprime = Fraction._from_coprime_ints
+            monkeypatch.setattr(
+                Fraction,
+                "_from_coprime_ints",
+                classmethod(lambda cls, n, d: made.append(cls) or coprime(n, d)),
+            )
+
+        def count(build):
+            made.clear()
+            result = build()
+            return len(made), result
+
+        validated, g = count(lambda: ConcaveFn(f.breakpoints, f.pieces))
+        dualized, d = count(lambda: legendre_dual(g))
+        integrated, total = count(d.integral)
+        assert g == f and total == per_piece_integral(d)[0]
+        # none to validate; per breakpoint the value -f(t) and its negation;
+        # one for the integral
+        assert (validated, dualized, integrated) == (0, 8, 1)
 
 
 class TestBidual:

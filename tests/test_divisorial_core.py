@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelic_heights.divisorial_core import (
@@ -373,7 +373,64 @@ def rows_and_vectors(draw):
     return draw(vector), draw(vector)
 
 
+def _oracle_delta_inf(rows):
+    """_delta_inf on Fraction quotients: each bound -base/rate compared as
+    a Fraction."""
+    lo, lo_strict = Fraction(0), False
+    hi, hi_strict = None, False
+    for base, rate, strict in rows:
+        if rate == 0:
+            if not (base > 0 if strict else base >= 0):
+                return None
+            continue
+        bound = -base / rate
+        if rate > 0 and bound >= lo:
+            lo_strict = strict or (bound == lo and lo_strict)
+            lo = bound
+        elif rate < 0 and (hi is None or bound <= hi):
+            hi_strict = strict or (bound == hi and hi_strict)
+            hi = bound
+    if hi is not None and (hi < lo or (hi == lo and (lo_strict or hi_strict))):
+        return None
+    return lo
+
+
+# a few values, so that bounds often tie with each other and with 0
+small = st.sampled_from([F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3, 4), F(-3, 4)])
+delta_rows = st.lists(
+    st.tuples(st.one_of(small, entry), st.one_of(small, entry), st.booleans()), max_size=6
+)
+
+
 class TestExactKernels:
+    @given(delta_rows)
+    # bound == lo: strict then non-strict, and the other way round, with
+    # hi at the same point, so that the strictness decides
+    @example([(F(-1), F(1), True), (F(-2), F(2), False), (F(1), F(-1), False)])
+    @example([(F(-1), F(1), False), (F(-2), F(2), True), (F(1), F(-1), False)])
+    # bound == hi, both orders, with lo at the same point
+    @example([(F(1), F(-1), True), (F(2), F(-2), False), (F(-1), F(1), False)])
+    @example([(F(1), F(-1), False), (F(2), F(-2), True), (F(-1), F(1), False)])
+    # hi == lo: closed on both sides, or open on one
+    @example([(F(-1), F(1), False), (F(1), F(-1), False)])
+    @example([(F(-1), F(1), True), (F(1), F(-1), False)])
+    @example([(F(-1), F(1), False), (F(1), F(-1), True)])
+    # hi == lo == 0, where lo starts
+    @example([(F(0), F(-1), False)])
+    @example([(F(0), F(-1), True)])
+    # rate == 0: base 0 open or closed, base of either sign
+    @example([(F(0), F(0), True)])
+    @example([(F(0), F(0), False)])
+    @example([(F(1), F(0), True), (F(-1), F(2), False)])
+    @example([(F(-1), F(0), False)])
+    # an upper bound below 0
+    @example([(F(-1), F(-1), False)])
+    @settings(max_examples=300, deadline=None)
+    def test_delta_inf_matches_the_fraction_oracle(self, rows):
+        got = cones._delta_inf(rows)
+        assert got == _oracle_delta_inf(rows)
+        assert got is None or type(got) is Fraction
+
     @given(rows_and_vectors(), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_constraint_value_is_the_naive_sum(self, row_x, strict):
