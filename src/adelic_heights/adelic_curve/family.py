@@ -10,18 +10,13 @@ duals that every height and the nef verdict read, on first use.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
 from ..convex_calculus.duality import DualFn, legendre_dual, sum_duals
-from ..convex_calculus.functions import (
-    AffinePiece,
-    ConcaveFn,
-    sup_distance,
-)
+from ..convex_calculus.functions import AffinePiece, ConcaveFn, bounded_above
 from ..scalars import Frozen, _to_fraction
 from .places import Place
 
@@ -66,9 +61,10 @@ def strongly_nef_local_check(
     psi: ConcaveFn, divisor: ToricCompactifiedDivisor
 ) -> tuple[bool, bool]:
     """(has the divisor's asymptotic slopes, stays within bounded distance
-    of the canonical profile)."""
+    of the canonical profile: the difference is bounded above both ways)."""
+    can = canonical_fn(divisor)
     strongly_nef = _has_divisor_slopes(psi, divisor)
-    non_singular = strongly_nef and sup_distance(psi, canonical_fn(divisor)) < math.inf
+    non_singular = strongly_nef and bounded_above(psi, can) and bounded_above(can, psi)
     return strongly_nef, non_singular
 
 
@@ -222,7 +218,7 @@ class AdelicFamily:
     def singular_places(self) -> tuple[Place, ...]:
         """Exceptional places whose profile has the wrong asymptotic slopes
         or lies at unbounded distance from the canonical one, each decided
-        by strongly_nef_local_check on that place's profile alone."""
+        exactly by strongly_nef_local_check on that place's profile alone."""
         return tuple(
             place
             for place, psi in self.exceptions.items()

@@ -146,19 +146,17 @@ class _Expr:
             tuple((-c * e, e - 1.0) for c, e in self.terms),
         )
 
-    def sign_at_minus_inf(self) -> int:
+    def tail(self) -> Number:
+        """What the expression does toward -infinity: +inf or -inf when it
+        diverges, else its finite limit (exact when that is rational). The
+        linear term decides first, then the power term with the largest
+        positive exponent; negative exponents vanish."""
         if self.slope != 0:
-            return -1 if self.slope > 0 else 1
+            return -math.inf if self.slope > 0 else math.inf
         e_lead, c_lead = max(((e, c) for c, e in self.terms), default=(0.0, 0.0))
         if e_lead > 0:
-            return 1 if c_lead > 0 else -1
-        return _sign(self.intercept + sum(c for c, e in self.terms if e == 0.0))
-
-    def limit_at_minus_inf(self) -> float:
-        """Finite limit when slope and positive-exponent terms vanish."""
-        if self.slope != 0 or any(e > 0 for _, e in self.terms):
-            raise ValueError("expression diverges toward -infinity")
-        return float(self.intercept) + sum(c for c, e in self.terms if e == 0.0)
+            return math.copysign(math.inf, c_lead)
+        return self.intercept + sum(c for c, e in self.terms if e == 0.0)
 
 
 def _sign(v) -> int:
@@ -205,7 +203,7 @@ def _monotone_roots(expr: _Expr, seg_lo: float | None, seg_hi: float) -> list[fl
     if s_hi == 0:
         return [seg_hi]
     if seg_lo is None:
-        s_lo = expr.sign_at_minus_inf()
+        s_lo = _sign(expr.tail())
         seg_lo = _extend_left(expr, seg_hi, s_lo) if s_lo == -s_hi else None
         if seg_lo is None:
             return []
@@ -384,22 +382,21 @@ class ConcaveFn(Frozen):
 def _pair_walk(
     f: ConcaveFn,
     g: ConcaveFn,
-    cuts: Sequence[Fraction] = (),
     lo: Fraction | None = None,
     hi: Fraction | None = None,
-) -> Iterator[tuple[Fraction | None, Fraction | None, Fraction, Piece, Piece]]:
-    """Walk (lo, hi) cut at the breakpoints of f and g and at extra cuts.
+) -> Iterator[tuple[Fraction | None, Fraction | None, Piece, Piece]]:
+    """Walk (lo, hi) cut at the breakpoints of f and g.
 
-    Yields (lo, hi, probe, f-piece, g-piece) for each interval; None ends
-    are infinite, and the probe is a rational point inside the interval.
+    Yields (lo, hi, f-piece, g-piece) for each interval; None ends are
+    infinite.
     """
-    inner = sorted(set(f.breakpoints).union(g.breakpoints, cuts))
+    inner = sorted(set(f.breakpoints).union(g.breakpoints))
     i = 0 if lo is None else bisect.bisect_right(inner, lo)
     j = len(inner) if hi is None else bisect.bisect_left(inner, hi)
     edges = [lo, *inner[i:j], hi]
     for a, b in zip(edges, edges[1:]):
         probe = _probe_point(a, b)
-        yield a, b, probe, f.piece_at(probe), g.piece_at(probe)
+        yield a, b, f.piece_at(probe), g.piece_at(probe)
 
 
 def min_concave(f: ConcaveFn, g: ConcaveFn) -> ConcaveFn:
@@ -407,20 +404,19 @@ def min_concave(f: ConcaveFn, g: ConcaveFn) -> ConcaveFn:
 
     Crossings inside each merged interval are located exactly for
     affine/affine pairs and by sign-bracketed bisection otherwise; each
-    piece of the result is chosen by the sign of f - g at a probe point.
+    piece of the result is chosen by the sign of f - g at a probe point
+    between consecutive crossings.
     """
-    roots = [
-        r
-        for lo, hi, _, fp, gp in _pair_walk(f, g)
-        for r in _expr_roots(_Expr.difference(fp, gp), lo, hi)
-    ]
     cuts: list[Fraction] = []
     pieces: list[Piece] = []
-    for lo, _, probe, fp, gp in _pair_walk(f, g, roots):
-        if lo is not None:
-            cuts.append(lo)
-        # exact when the difference is affine (the same alpha cancels)
-        pieces.append(fp if _Expr.difference(fp, gp).value(probe) <= 0 else gp)
+    for lo, hi, fp, gp in _pair_walk(f, g):
+        d = _Expr.difference(fp, gp)
+        edges = [lo, *_expr_roots(d, lo, hi), hi]
+        for a, b in zip(edges, edges[1:]):
+            if a is not None:
+                cuts.append(a)
+            # exact when the difference is affine (the same alpha cancels)
+            pieces.append(fp if d.value(_probe_point(a, b)) <= 0 else gp)
     return ConcaveFn(cuts, pieces)
 
 
@@ -446,26 +442,24 @@ def cutoff(phi: ConcaveFn, psi: ConcaveFn, n) -> ConcaveFn:
 
 
 def bounded_above(f: ConcaveFn, g: ConcaveFn) -> bool:
-    """Whether f - g is bounded above on the whole line (analytically)."""
-    if f.slope_pos > g.slope_pos or f.slope_neg < g.slope_neg:
-        return False
-    if f.slope_neg == g.slope_neg:
-        d = _Expr.difference(f.pieces[0], g.pieces[0])
-        return not any(e > 0 and c > 0 for c, e in d.terms)
-    return True
+    """Whether f - g is bounded above on the whole line: toward +infinity
+    by the slopes, toward -infinity by the tail of the first pieces'
+    difference."""
+    return (
+        f.slope_pos <= g.slope_pos
+        and _Expr.difference(f.pieces[0], g.pieces[0]).tail() < math.inf
+    )
 
 
 def sup_distance(f: ConcaveFn, g: ConcaveFn) -> float:
     """Supremum of |f - g| over the line; +inf when the deviation is unbounded."""
-    if f.slope_neg != g.slope_neg or f.slope_pos != g.slope_pos:
+    if not (bounded_above(f, g) and bounded_above(g, f)):
         return math.inf
     best = 0.0
-    for lo, hi, _, fp, gp in _pair_walk(f, g):
+    for lo, hi, fp, gp in _pair_walk(f, g):
         d = _Expr.difference(fp, gp)
         if lo is None:
-            if any(e > 0 for _, e in d.terms):
-                return math.inf
-            best = max(best, abs(d.limit_at_minus_inf()))
+            best = max(best, abs(float(d.tail())))
         if hi is None:
             # slopes agree, so the difference is a constant out here
             best = max(best, abs(d.value(0.0 if lo is None else float(lo) + 1.0)))

@@ -189,7 +189,7 @@ def integrate_against(
         # exact wherever the mass and both pieces are
         total += m * (f.piece_at(loc).value(loc) - g.piece_at(loc).value(loc))
     for piece in mu.densities:
-        for lo, hi, _, fp, gp in _pair_walk(f, g, lo=piece.lo, hi=piece.hi):
+        for lo, hi, fp, gp in _pair_walk(f, g, lo=piece.lo, hi=piece.hi):
             expr = _Expr.difference(fp, gp)
             sub = DensityPiece(lo, hi, piece.coeff, piece.exponent)
             if method == "quad":

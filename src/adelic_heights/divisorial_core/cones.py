@@ -258,10 +258,6 @@ class SemilinearCone:
                     )
 
     @staticmethod
-    def full_space(dim: int) -> "SemilinearCone":
-        return SemilinearCone([Cell(())], dim)
-
-    @staticmethod
     def from_halfspaces(rows: Sequence, dim: int) -> "SemilinearCone":
         """Single polyhedral cell {x : row . x >= 0 for each row}."""
         cell = Cell(tuple(Constraint(r, strict=False) for r in rows))

@@ -88,12 +88,9 @@ def check_intersection_axioms(
     Checks, in order: nonnegativity on nef tuples, nonnegativity when one
     slot is effective and the rest nef, and existence of an amplitude
     witness (a nef generator making the pairing strictly positive) for
-    every nonzero effective generator. Symmetry and multilinearity hold by
-    construction and are reported as such.
+    every nonzero effective generator.
     """
     report = {
-        "symmetric": True,
-        "multilinear": True,
         "nef_nonnegative": True,
         "effective_nonnegative": True,
         "amplitude_witnesses": {},
@@ -107,16 +104,15 @@ def check_intersection_axioms(
         if v < 0:
             report["nef_nonnegative"] = False
             report["failures"].append(("nef", combo, v))
-    if imap.arity >= 1:
-        for ei, e in enumerate(effective_generators):
-            for combo in itertools.combinations_with_replacement(
-                range(len(nef_generators)), imap.arity - 1
-            ):
-                args = [e] + [nef_generators[i] for i in combo]
-                v = imap.evaluate(args)
-                if v < 0:
-                    report["effective_nonnegative"] = False
-                    report["failures"].append(("effective", (ei,) + combo, v))
+    for ei, e in enumerate(effective_generators):
+        for combo in itertools.combinations_with_replacement(
+            range(len(nef_generators)), imap.arity - 1
+        ):
+            args = [e] + [nef_generators[i] for i in combo]
+            v = imap.evaluate(args)
+            if v < 0:
+                report["effective_nonnegative"] = False
+                report["failures"].append(("effective", (ei,) + combo, v))
     for ei, e in enumerate(effective_generators):
         if e.is_zero():
             continue

@@ -32,11 +32,13 @@ from adelic_heights.adelic_curve import (
 from adelic_heights.adelic_curve import family as family_module
 from adelic_heights.adelic_curve import places
 from adelic_heights.cli import alpha_profile
+from adelic_heights.convex_calculus import functions as functions_module
 from adelic_heights.convex_calculus.duality import DualPiece, legendre_dual
 from adelic_heights.convex_calculus.functions import (
     AffinePiece,
     AlphaPiece,
     ConcaveFn,
+    sup_distance,
 )
 
 from profiles import alpha_profiles, near_colliding_profiles, profile_through
@@ -396,15 +398,20 @@ class TestFamily:
         assert loose.singular_places == (INF,)
 
     def test_singular_flags(self, monkeypatch):
-        # building a family measures no distance; singular_places does, on
-        # first read
+        # building a family runs no boundedness verdict; singular_places
+        # does, on first read, and exactly: no float supremum behind it
         def refuse(psi, phi):
-            raise AssertionError("sup_distance called while building a family")
+            raise AssertionError("bounded_above called while building a family")
 
-        monkeypatch.setattr(family_module, "sup_distance", refuse)
+        def no_float_sup(psi, phi):
+            raise AssertionError("singular_places measured a float supremum")
+
+        monkeypatch.setattr(family_module, "bounded_above", refuse)
         fam = alpha_family(F(1, 4))
         shifted = twist(canonical_family(), {INF: 1})
         monkeypatch.undo()
+        monkeypatch.setattr(functions_module, "sup_distance", no_float_sup)
+        monkeypatch.setattr(family_module, "sup_distance", no_float_sup, raising=False)
         assert fam.singular_places == (Place.prime(2),)
         assert shifted.singular_places == ()
 
@@ -462,6 +469,20 @@ class TestFamily:
         assert strongly_nef_local_check(canonical_fn(d), d) == (True, True)
         assert strongly_nef_local_check(alpha_profile(F(1, 4)), d) == (True, False)
         assert strongly_nef_local_check(ConcaveFn.affine(F(1, 2)), d)[0] is False
+
+    @given(
+        st.one_of(
+            alpha_profiles(),
+            near_colliding_profiles([F(1, 3), F(1, 2)], max_inner=3),
+            st.fractions(-5, 5, max_denominator=7).map(canonical_fn(hyperplane_divisor()).shift),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_local_check_agrees_with_the_float_supremum(self, psi):
+        d = hyperplane_divisor()
+        assert strongly_nef_local_check(psi, d)[1] == (
+            sup_distance(psi, canonical_fn(d)) < math.inf
+        )
 
     @given(st.integers(1, 40), st.sampled_from([-1, 1]), st.booleans())
     @example(20, 1, True)

@@ -370,6 +370,21 @@ class TestEnergyCommand:
         )
         assert payload["energy"] == "-inf"
 
+    def test_energy_between_two_singular_families(self, capsys):
+        # psi - phi <= 1 for the alpha = 1/4 reference and the alpha = 1/3
+        # family at the same place; the energy is -9 - (-10)
+        third = json.loads(json.dumps(ALPHA_PSI))
+        third["pieces"][0]["params"]["alpha"] = "1/3"
+        third["pieces"][1]["params"]["intercept"] = 3
+        payload = run_json(
+            capsys,
+            "energy",
+            "--input",
+            json.dumps({"reference": ALPHA_FAMILY, "singular": family_of(third)}),
+        )
+        assert payload["energy"] == 1.0
+        assert payload["per_place"] == [{"place": 2, "energy": 1.0}]
+
     def test_precondition_violation_names_place(self, capsys):
         code, _, err = run(
             capsys,

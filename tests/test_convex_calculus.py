@@ -253,6 +253,22 @@ class TestMinConcave:
                 assert cur(u) <= phi(u) + 1e-12
             prev = cur
 
+    def test_cutoff_between_two_singular_ramps(self):
+        # psi - phi <= 1 although both carry power terms: the truncation
+        # answers, lies between the two profiles and increases with n
+        phi, psi = singular_ramp(F(1, 3)), singular_ramp(F(1, 4))
+        prev = None
+        for n in (2, 10, 100):
+            cur = cutoff(phi, psi, n)
+            for u in (-1e8, -1e4, -500, -50, -1, 0, 3):
+                lo, hi = min(psi(u), phi(u)), phi(u)
+                tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+                assert lo - tol <= cur(u) <= hi + tol
+                assert cur(u) == pytest.approx(min(psi(u) + n, phi(u)), rel=1e-12, abs=1e-12)
+                if prev is not None:
+                    assert prev(u) <= cur(u) + tol
+            prev = cur
+
     def test_cutoff_requires_comparability(self):
         with pytest.raises(ValueError, match="bounded above"):
             cutoff(ramp(), singular_ramp(F(1, 4)), 3)
@@ -283,6 +299,26 @@ class TestSupDistance:
         phi = singular_ramp(F(1, 4))
         assert bounded_above(ramp(), phi)  # ramp - phi = -profile <= 0
         assert not bounded_above(phi, ramp())
+        # 4*(1-u)**(1/4) - 3*(1-u)**(1/3) <= 1: the larger exponent leads
+        # toward -inf, though the other power term has a positive coefficient
+        third = singular_ramp(F(1, 3))
+        assert bounded_above(phi, third)
+        assert not bounded_above(third, phi)
+        assert bounded_above(third, third.shift(F(-5, 2)))
+        assert bounded_above(third.shift(F(-5, 2)), third)
+
+    @given(
+        st.fractions(0, 1, max_denominator=10**6).filter(lambda a: 0 < a < 1),
+        st.fractions(0, 1, max_denominator=10**6).filter(lambda a: 0 < a < 1),
+        st.fractions(-100, 100, max_denominator=1000),
+    )
+    @example(F(1, 4), F(1, 3), F(0))
+    @example(F(1, 3), F(1, 4), F(7))
+    @settings(max_examples=100, deadline=None)
+    def test_bounded_above_between_singular_ramps(self, a, b, c):
+        # the difference's leading power term toward -inf has exponent
+        # max(a, b) and the sign of that side
+        assert bounded_above(singular_ramp(a), singular_ramp(b).shift(c)) == (a <= b)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -725,6 +761,17 @@ class TestLocalEnergy:
     def test_precondition_violation(self):
         with pytest.raises(ValueError, match="bounded above"):
             local_energy(singular_ramp(F(1, 4)), ramp())
+
+    def test_energy_between_two_singular_ramps(self):
+        # E(ramp, phi) is additive along ramp -> psi -> phi, so the energy
+        # of the alpha = 1/3 ramp relative to the alpha = 1/4 one is -9 - (-10)
+        psi, phi = singular_ramp(F(1, 4)), singular_ramp(F(1, 3))
+        e = local_energy(psi, phi)
+        assert abs(e - (closed_form_energy(1 / 3) - closed_form_energy(1 / 4))) < 1e-12
+        quad = integrate_against((psi, phi), monge_ampere(phi), method="quad") + (
+            integrate_against((psi, phi), monge_ampere(psi), method="quad")
+        )
+        assert abs(e - quad) < 1e-9
 
     def test_self_energy_zero(self):
         assert local_energy(ramp(), ramp()) == 0
