@@ -57,15 +57,18 @@ def _has_divisor_slopes(psi: ConcaveFn, divisor: ToricCompactifiedDivisor) -> bo
     return psi.slope_neg == divisor.b and psi.slope_pos == -divisor.a
 
 
+def _bounded_distance(psi: ConcaveFn, can: ConcaveFn) -> bool:
+    """psi - can and can - psi are both bounded above."""
+    return bounded_above(psi, can) and bounded_above(can, psi)
+
+
 def strongly_nef_local_check(
     psi: ConcaveFn, divisor: ToricCompactifiedDivisor
 ) -> tuple[bool, bool]:
     """(has the divisor's asymptotic slopes, stays within bounded distance
     of the canonical profile: the difference is bounded above both ways)."""
-    can = canonical_fn(divisor)
     strongly_nef = _has_divisor_slopes(psi, divisor)
-    non_singular = strongly_nef and bounded_above(psi, can) and bounded_above(can, psi)
-    return strongly_nef, non_singular
+    return strongly_nef, strongly_nef and _bounded_distance(psi, canonical_fn(divisor))
 
 
 class NefStatus(Frozen):
@@ -154,8 +157,9 @@ def _require_float_range(place: Place, psi: ConcaveFn) -> None:
         for x in psi.breakpoints:
             float(x)
         for piece in psi.pieces:
-            float(piece.slope)
-            float(piece.intercept)
+            if isinstance(piece, AffinePiece):  # an alpha piece took its floats when built
+                float(piece.slope)
+                float(piece.intercept)
     except OverflowError as exc:
         raise FloatRangeError(
             f"at {place}: exact profile data beyond float range"
@@ -218,11 +222,15 @@ class AdelicFamily:
     def singular_places(self) -> tuple[Place, ...]:
         """Exceptional places whose profile has the wrong asymptotic slopes
         or lies at unbounded distance from the canonical one, each decided
-        exactly by strongly_nef_local_check on that place's profile alone."""
+        exactly, as strongly_nef_local_check does, on that place's profile
+        against the family's one canonical profile."""
         return tuple(
             place
             for place, psi in self.exceptions.items()
-            if not strongly_nef_local_check(psi, self.divisor)[1]
+            if not (
+                _has_divisor_slopes(psi, self.divisor)
+                and _bounded_distance(psi, self.canonical)
+            )
         )
 
     @cached_property

@@ -103,7 +103,8 @@ def boundary_height(family: AdelicFamily, point: str) -> Real:
 def _unequal_places(ref: AdelicFamily, sing: AdelicFamily):
     if ref.divisor != sing.divisor:
         raise ValueError("families must share the divisor")
-    for place in sorted(set(ref.places()) | set(sing.places())):
+    # both tables are in canonical order, so the sort merges two runs
+    for place in sorted(dict.fromkeys([*ref.exceptions, *sing.exceptions])):
         psi, phi = ref.psi_at(place), sing.psi_at(place)
         if psi != phi:
             yield place, psi, phi

@@ -15,7 +15,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, le
 
 from ..scalars import Frozen, _num, _to_fraction
 from .functions import AffinePiece, AlphaPiece, ConcaveFn, Number, _bisect_root
@@ -102,20 +102,22 @@ class DualFn(Frozen):
         breakpoints: Sequence[Number],
         pieces: Sequence[DualPiece],
     ):
-        object.__setattr__(self, "lo", _num(lo))
-        object.__setattr__(self, "hi", _num(hi))
-        object.__setattr__(self, "breakpoints", tuple(_num(b) for b in breakpoints))
-        object.__setattr__(self, "pieces", tuple(pieces))
-        if self.lo > self.hi:
-            raise ValueError("empty dual domain")
-        if self.is_degenerate():
-            if len(self.pieces) > 1 or self.breakpoints:
+        lo, hi, bps, pieces = _num(lo), _num(hi), tuple(map(_num, breakpoints)), tuple(pieces)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "pieces", pieces)
+        if lo >= hi:
+            if lo > hi:
+                raise ValueError("empty dual domain")
+            if len(pieces) > 1 or bps:
                 raise ValueError("a point domain carries a single piece")
             return
-        if len(self.pieces) != len(self.breakpoints) + 1:
+        if len(pieces) != len(bps) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
-        knots = (self.lo, *self.breakpoints, self.hi)
-        if any(b2 <= b1 for b1, b2 in zip(knots, knots[1:])):
+        # lo < hi, so only breakpoints can put the knots out of order
+        knots = (lo, *bps, hi)
+        if bps and any(map(le, knots[1:], knots)):
             raise ValueError("dual breakpoints must increase inside the domain")
 
     def is_degenerate(self) -> bool:
@@ -313,8 +315,8 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
             s, c = piece.slope, piece.intercept
             d_left: Number = s if left is None else piece.derivative(left)
             if _above(d_left, cur):
-                n, d = piece.alpha.as_integer_ratio()
-                alpha, b = n / d, (d - n) / d  # float(alpha), float(1 - alpha)
+                an, ad = piece.alpha.as_integer_ratio()
+                alpha, b = an / ad, (ad - an) / ad  # float(alpha), float(1 - alpha)
                 term = PowerTerm(-b / alpha, -alpha / b, s)
                 entries.append((d_left, DualPiece(1, -(s + c), (term,))))
                 cur = d_left

@@ -17,6 +17,7 @@ import bisect
 import math
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
+from operator import le
 
 from ..scalars import Frozen, _num, _to_fraction
 
@@ -59,9 +60,13 @@ class AffinePiece(Frozen):
 
 
 class AlphaPiece(Frozen):
-    """slope*u + intercept + (1/alpha)*(1-u)**alpha, on intervals with u <= 0."""
+    """slope*u + intercept + (1/alpha)*(1-u)**alpha, on intervals with u <= 0.
 
-    __slots__ = ("alpha", "slope", "intercept")
+    The float forms of alpha, slope and intercept, and the power term
+    (1/alpha, alpha), are taken once from the exact fields, when the piece
+    is built; value, derivative and alpha_term read them."""
+
+    __slots__ = ("alpha", "slope", "intercept", "_floats")
 
     def __init__(self, alpha: Number, slope: Number, intercept: Number):
         alpha, slope, intercept = _num(alpha), _num(slope), _num(intercept)
@@ -70,16 +75,17 @@ class AlphaPiece(Frozen):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "intercept", intercept)
+        a = float(alpha)
+        object.__setattr__(self, "_floats", (a, float(slope), float(intercept), (1.0 / a, a)))
 
     def value(self, u) -> float:
-        a = float(self.alpha)
-        return float(self.slope) * float(u) + float(self.intercept) + (
-            (1.0 - float(u)) ** a / a
-        )
+        a, s, c, _ = self._floats
+        u = float(u)
+        return s * u + c + (1.0 - u) ** a / a
 
     def derivative(self, u) -> float:
-        a = float(self.alpha)
-        return float(self.slope) - (1.0 - float(u)) ** (a - 1.0)
+        a, s, _, _ = self._floats
+        return s - (1.0 - float(u)) ** (a - 1.0)
 
     def shifted(self, c) -> "AlphaPiece":
         return AlphaPiece(self.alpha, self.slope, self.intercept + _num(c))
@@ -87,7 +93,7 @@ class AlphaPiece(Frozen):
     @property
     def alpha_term(self):
         # coefficient of (1-u)**alpha is pinned to 1/alpha in this catalog
-        return (1.0 / float(self.alpha), float(self.alpha))
+        return self._floats[3]
 
 
 Piece = AffinePiece | AlphaPiece
@@ -124,9 +130,7 @@ class _Expr:
         # the coefficient is pinned to 1/alpha, so the same alpha on both
         # sides cancels exactly
         if tp != tq:
-            terms = tuple(
-                (sgn * t[0], t[1]) for sgn, t in ((1.0, tp), (-1.0, tq)) if t is not None
-            )
+            terms = ((tp,) if tp else ()) + (((-tq[0], tq[1]),) if tq else ())
         return _Expr(p.slope - q.slope, p.intercept - q.intercept, terms)
 
     def value(self, u):
@@ -277,17 +281,18 @@ class ConcaveFn(Frozen):
     where both sides are affine with rational coefficients, numerically
     against the closed forms otherwise. Identical adjacent pieces are
     merged. A profile is read-only, so a family that has read it can keep
-    what it computed from it.
+    what it computed from it; its curvature measure is kept in the derived
+    slot _ma, filled on the first monge_ampere call.
     """
 
-    __slots__ = ("breakpoints", "pieces")
+    __slots__ = ("breakpoints", "pieces", "_ma")
 
     def __init__(self, breakpoints: Sequence, pieces: Sequence[Piece]):
         bps = [_to_fraction(b) for b in breakpoints]
         pieces = list(pieces)
         if len(pieces) != len(bps) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
+        if any(map(le, bps[1:], bps)):
             raise ValueError("breakpoints must be strictly increasing")
         bps, pieces = self._merge(bps, pieces)
         object.__setattr__(self, "breakpoints", tuple(bps))
@@ -388,15 +393,32 @@ def _pair_walk(
     """Walk (lo, hi) cut at the breakpoints of f and g.
 
     Yields (lo, hi, f-piece, g-piece) for each interval; None ends are
-    infinite.
+    infinite. One merge over the two breakpoint tuples, compared exactly:
+    each breakpoint inside (lo, hi) ends an interval and advances the
+    piece index of each profile it belongs to.
     """
-    inner = sorted(set(f.breakpoints).union(g.breakpoints))
-    i = 0 if lo is None else bisect.bisect_right(inner, lo)
-    j = len(inner) if hi is None else bisect.bisect_left(inner, hi)
-    edges = [lo, *inner[i:j], hi]
-    for a, b in zip(edges, edges[1:]):
-        probe = _probe_point(a, b)
-        yield a, b, f.piece_at(probe), g.piece_at(probe)
+    fb, gb = f.breakpoints, g.breakpoints
+    nf, ng = len(fb), len(gb)
+    i = 0 if lo is None else bisect.bisect_right(fb, lo)
+    j = 0 if lo is None else bisect.bisect_right(gb, lo)
+    a = lo
+    while True:
+        fp, gp = f.pieces[i], g.pieces[j]
+        if i < nf and (j == ng or fb[i] <= gb[j]):
+            b = fb[i]
+            i += 1
+            if j < ng and gb[j] == b:
+                j += 1
+        elif j < ng:
+            b = gb[j]
+            j += 1
+        else:
+            b = None
+        if b is None or (hi is not None and b >= hi):
+            yield a, hi, fp, gp
+            return
+        yield a, b, fp, gp
+        a = b
 
 
 def min_concave(f: ConcaveFn, g: ConcaveFn) -> ConcaveFn:

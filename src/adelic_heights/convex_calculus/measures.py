@@ -149,8 +149,13 @@ def monge_ampere(f: ConcaveFn) -> Measure1D:
     the density (1-alpha)*(1-u)**(alpha-2) on its interval, 1 - alpha
     taken on the exact alpha. The total mass equals slope_neg - slope_pos:
     exactly without densities, up to float rounding of alpha - 2 and
-    1 - alpha.
+    1 - alpha. A profile is read-only, so its measure is built once and
+    kept on it.
     """
+    try:
+        return f._ma
+    except AttributeError:
+        pass
     atoms: list[tuple[Fraction, Number]] = []
     for i, t in enumerate(f.breakpoints):
         gap = f.pieces[i].derivative(t) - f.pieces[i + 1].derivative(t)
@@ -162,7 +167,9 @@ def monge_ampere(f: ConcaveFn) -> Measure1D:
             n, d = piece.alpha.as_integer_ratio()
             b = (d - n) / d  # float(1 - alpha)
             densities.append(DensityPiece(lo, hi, b, -1.0 - b))
-    return Measure1D(tuple(atoms), tuple(densities))
+    mu = Measure1D(tuple(atoms), tuple(densities))
+    object.__setattr__(f, "_ma", mu)
+    return mu
 
 
 def integrate_against(
@@ -191,12 +198,12 @@ def integrate_against(
     for piece in mu.densities:
         for lo, hi, fp, gp in _pair_walk(f, g, lo=piece.lo, hi=piece.hi):
             expr = _Expr.difference(fp, gp)
-            sub = DensityPiece(lo, hi, piece.coeff, piece.exponent)
             if method == "quad":
+                sub = DensityPiece(lo, hi, piece.coeff, piece.exponent)
                 total += _quad_piece(expr.value, sub, QUAD_TOL)
             else:
                 total += _integrate_terms_in_t(
-                    _expr_times_density_terms(expr, sub), lo, hi
+                    _expr_times_density_terms(expr, piece), lo, hi
                 )
     return total
 

@@ -49,13 +49,19 @@ class Frozen:
     Two values are equal when they have the same type and equal fields,
     and hash by their fields; the repr is Name(field=value, ...). The
     constructor takes the fields in slot order, which is how copy and
-    pickle rebuild a value."""
+    pickle rebuild a value.
+
+    A slot whose name starts with "_" is derived data, not a field: a
+    memo of something computed from the fields, set once with
+    object.__setattr__. It takes no part in equality, hashing, the repr,
+    copy or pickle, and a rebuilt value starts without it."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = attrgetter(*cls.__slots__)
+        cls._names = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._fields = attrgetter(*cls._names)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -71,8 +77,8 @@ class Frozen:
 
     def __reduce__(self):
         fields = self._fields(self)
-        return type(self), fields if len(self.__slots__) > 1 else (fields,)
+        return type(self), fields if len(self._names) > 1 else (fields,)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__name__}({fields})"

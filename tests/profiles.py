@@ -1,12 +1,19 @@
 """Shared test helpers: continuous piecewise-affine profiles, and
-hypothesis strategies for profiles whose slopes nearly collide and for
-alpha-singular profiles with affine tails."""
+hypothesis strategies for profiles whose slopes nearly collide, for
+alpha-singular profiles with affine tails, and for profiles with an alpha
+piece after the first."""
 
 from fractions import Fraction as F
 
 from hypothesis import strategies as st
 
-from adelic_heights.convex_calculus.functions import AffinePiece, AlphaPiece, ConcaveFn
+from adelic_heights.convex_calculus.functions import (
+    AffinePiece,
+    AlphaPiece,
+    ConcaveFn,
+    cutoff,
+    min_concave,
+)
 
 
 def profile_through(slopes, bps, c0=F(0)) -> ConcaveFn:
@@ -69,3 +76,28 @@ def alpha_profiles(draw) -> ConcaveFn:
         prev = pieces[-1]
         pieces.append(AffinePiece(s, prev.slope * t + prev.intercept - s * t))
     return ConcaveFn(bps, pieces)
+
+
+def singular_ramp(alpha, c=F(0)) -> ConcaveFn:
+    """min(u, 0) + (1/alpha)*(1-u)**alpha on u <= 0, shifted up by c."""
+    return ConcaveFn([0], [AlphaPiece(alpha, 1, c), AffinePiece(0, c + 1 / alpha)])
+
+
+@st.composite
+def affine_head_alpha_profiles(draw) -> ConcaveFn:
+    """Profiles for the divisor 0[0] + 1[inf] whose alpha piece is not the
+    first. Either a cutoff min(min(u, 0) + n, singular ramp), whose affine
+    head meets a bounded alpha piece, or the minimum of two singular ramps
+    that cross left of 0, an alpha piece after an alpha head."""
+    c = draw(st.fractions(-3, 3, max_denominator=5))
+    alphas = draw(st.lists(st.integers(1, 19), min_size=2, max_size=2, unique=True))
+    a1, a2 = sorted(F(k, 20) for k in alphas)
+    if draw(st.booleans()):
+        # the ramp stays below the singular ramp toward -inf, and above it
+        # at 0 when n exceeds the singular ramp's value there
+        n = c + 1 / a1 + draw(st.fractions(F(1, 8), 60, max_denominator=8))
+        return cutoff(singular_ramp(a1, c), ConcaveFn([0], [AffinePiece(1, 0), AffinePiece(0, 0)]), n)
+    # the ramp of the larger alpha grows faster toward -inf; started below
+    # the other at 0, it crosses it left of 0
+    below = draw(st.fractions(F(1, 10), 5, max_denominator=10))
+    return min_concave(singular_ramp(a1, c), singular_ramp(a2, c + 1 / a1 - 1 / a2 - below))

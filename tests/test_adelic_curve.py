@@ -32,6 +32,7 @@ from adelic_heights.adelic_curve import (
 from adelic_heights.adelic_curve import family as family_module
 from adelic_heights.adelic_curve import places
 from adelic_heights.cli import alpha_profile
+from adelic_heights.convex_calculus import cutoff
 from adelic_heights.convex_calculus import functions as functions_module
 from adelic_heights.convex_calculus.duality import DualPiece, legendre_dual
 from adelic_heights.convex_calculus.functions import (
@@ -41,7 +42,12 @@ from adelic_heights.convex_calculus.functions import (
     sup_distance,
 )
 
-from profiles import alpha_profiles, near_colliding_profiles, profile_through
+from profiles import (
+    affine_head_alpha_profiles,
+    alpha_profiles,
+    near_colliding_profiles,
+    profile_through,
+)
 
 INF = Place.infinity()
 
@@ -415,6 +421,21 @@ class TestFamily:
         assert fam.singular_places == (Place.prime(2),)
         assert shifted.singular_places == ()
 
+    def test_singular_places_reuse_the_canonical_profile(self, monkeypatch):
+        fam = AdelicFamily(
+            hyperplane_divisor(),
+            {
+                Place.prime(2): alpha_profile(F(1, 4)),
+                Place.prime(3): canonical_fn(hyperplane_divisor()).shift(-1),
+            },
+        )
+
+        def refuse(divisor):
+            raise AssertionError("singular_places rebuilt the canonical profile")
+
+        monkeypatch.setattr(family_module, "canonical_fn", refuse)
+        assert fam.singular_places == (Place.prime(2),)
+
     def test_singular_places_are_decided_per_profile(self):
         # one wrong-slope place must not mark a bounded shift elsewhere singular
         divisor = ToricCompactifiedDivisor(1, 1)
@@ -778,6 +799,46 @@ class TestHeights:
     def test_degree_zero_height(self):
         fam = AdelicFamily(ToricCompactifiedDivisor(-1, 1))
         assert global_height(fam) == 0
+
+
+# the bound the example-alpha subcommand holds the two routes to
+ROUTE_GAP = 1e-6
+
+
+class TestAlphaAfterTheHead:
+    """Families whose profile has its alpha piece after the first piece:
+    both height routes agree, and an affine end keeps its roof endpoint
+    finite."""
+
+    @given(affine_head_alpha_profiles())
+    @example(cutoff(alpha_profile(F(1, 4)), canonical_fn(hyperplane_divisor()), 10))
+    @example(cutoff(alpha_profile(F(1, 2)), canonical_fn(hyperplane_divisor()), 10))
+    @settings(max_examples=60, deadline=None)
+    def test_roof_route_equals_energy_route(self, psi):
+        fam = AdelicFamily(hyperplane_divisor(), {INF: psi})
+        roof_route = global_height(fam)
+        energy_route = extended_height(canonical_family(), fam)
+        if roof_route == -math.inf:
+            assert energy_route == -math.inf
+        else:
+            assert abs(float(roof_route) - float(energy_route)) <= ROUTE_GAP
+        left, right = roof(fam).endpoints()
+        # the left endpoint is the profile's end toward +inf, the right one
+        # its end toward -inf
+        if isinstance(psi.pieces[-1], AffinePiece):
+            assert math.isfinite(left)
+        if isinstance(psi.pieces[0], AffinePiece):
+            assert math.isfinite(right)
+
+    def test_cutoff_of_the_quarter_profile(self):
+        psi = cutoff(alpha_profile(F(1, 4)), canonical_fn(hyperplane_divisor()), 10)
+        fam = AdelicFamily(hyperplane_divisor(), {INF: psi})
+        # the energy route and the true dual both give -242/25
+        assert global_height(fam) == pytest.approx(F(-242, 25), abs=1e-12)
+        assert extended_height(canonical_family(), fam) == pytest.approx(F(-242, 25), abs=1e-12)
+        assert roof(fam).endpoints() == (-4.0, -10)
+        assert nef_status(fam) == NefStatus("relatively_nef_only", -10)
+        assert boundary_height(fam, "infinity") == -10
 
 
 class TestEnergy:

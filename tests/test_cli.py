@@ -17,6 +17,7 @@ from adelic_heights.convex_calculus.functions import (
     AffinePiece,
     AlphaPiece,
     ConcaveFn,
+    cutoff,
 )
 from adelic_heights.convex_calculus.measures import PositiveDivergenceError
 
@@ -176,6 +177,20 @@ class TestExampleAlpha:
         _, out1, _ = run(capsys, "example-alpha", "--alpha", "1/10")
         _, out2, _ = run(capsys, "example-alpha", "--alpha", "1/10")
         assert out1 == out2
+
+
+class TestAlphaAfterTheHead:
+    def test_cutoff_height_and_endpoints(self, capsys):
+        # u + 10 up to -609/16, the alpha = 1/4 piece up to 0, then 4: the
+        # dual keeps the affine piece across the slope gap at -609/16
+        divisor = ToricCompactifiedDivisor(0, 1)
+        psi = cutoff(cli.alpha_profile(F(1, 4)), ConcaveFn([0], [AffinePiece(1, 0), AffinePiece(0, 0)]), 10)
+        text = json.dumps(cli.encode_family(AdelicFamily(divisor, {Place.infinity(): psi})))
+        payload = run_json(capsys, "height", "--input", text)
+        assert payload["height"] == -9.68
+        assert payload["roof"]["endpoints"] == [-4.0, -10]
+        assert payload["mu_min_asy"] == -10
+        assert run_json(capsys, "nef-check", "--input", text)["mu_min_asy"] == -10
 
 
 class TestProductFormula:

@@ -5,6 +5,7 @@ Reference values are frozen from closed-form antiderivative computations
 and from hand evaluation of small piecewise-affine examples.
 """
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from adelic_heights.convex_calculus import (
     AlphaPiece,
     ConcaveFn,
     DualFn,
+    DualPiece,
     Measure1D,
     DensityPiece,
     PositiveDivergenceError,
@@ -36,8 +38,14 @@ from adelic_heights.convex_calculus import (
     weak_convergence_check,
 )
 from adelic_heights.convex_calculus.duality import _integrate_power_term, sum_duals
+from adelic_heights.convex_calculus.functions import _pair_walk
 
-from profiles import alpha_profiles, near_colliding_profiles, profile_through
+from profiles import (
+    affine_head_alpha_profiles,
+    alpha_profiles,
+    near_colliding_profiles,
+    profile_through,
+)
 
 F = Fraction
 
@@ -385,6 +393,119 @@ class TestLegendreDual:
         assert float(d.lo) == float(d.hi) == float(F(2, 3))
         assert d.pieces[0].value(d.lo) == -5.0
         assert d.integral() == 0
+
+
+def brute_conjugate(f: ConcaveFn, m: float) -> float:
+    """inf over u of m*u - f(u), by brute force: the objective is convex,
+    so a golden-section search over [-1e7, 1e3], run until the bracket
+    stops shrinking, and then the least of its end and the objective at
+    every breakpoint (where a slope gap puts the minimum on a kink)."""
+
+    def h(u):
+        return m * u - f(u)
+
+    a, b = -1e7, 1e3
+    r = (math.sqrt(5) - 1) / 2
+    for _ in range(400):
+        x, y = b - r * (b - a), a + r * (b - a)
+        if not a < x < y < b:
+            break
+        if h(x) <= h(y):
+            b = y
+        else:
+            a = x
+    return min([h(a), *(h(float(t)) for t in f.breakpoints)])
+
+
+class TestDualAfterTheHead:
+    """legendre_dual of profiles whose alpha piece is not the first: every
+    slope gap left of the alpha piece opens its own affine dual piece."""
+
+    @given(affine_head_alpha_profiles())
+    @example(cutoff(singular_ramp(F(1, 4)), ramp(), 10))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_a_brute_force_conjugate(self, f):
+        d = legendre_dual(f)
+        slopes = [0.1, 0.5]
+        for i, t in enumerate(f.breakpoints):
+            left, right = f.pieces[i].derivative(t), f.pieces[i + 1].derivative(t)
+            slopes.append((float(left) + float(right)) / 2)  # inside the gap at t
+        for m in slopes:
+            want = brute_conjugate(f, m)
+            # the search meets the minimum to a few ulps of the values it compares
+            assert abs(d(m) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_cutoff_keeps_the_piece_across_its_first_kink(self):
+        # u + 10 up to -609/16, where the alpha = 1/4 piece takes over
+        f = cutoff(singular_ramp(F(1, 4)), ramp(), 10)
+        assert f.breakpoints == (F(-609, 16), 0)
+        d = legendre_dual(f)
+        assert len(d.pieces) == 2
+        assert d.pieces[-1] == DualPiece(F(-609, 16), F(449, 16))
+        assert d.value(d.hi) == -10 and d.value(d.lo) == -4.0
+
+
+def probe_walk(f, g, lo=None, hi=None):
+    """The pairing walk as it was before the index merge, kept as the
+    oracle of _pair_walk: the sorted union of both breakpoint sets cut to
+    (lo, hi), and each interval's pieces found by bisecting at a probe
+    point inside it."""
+    inner = sorted(set(f.breakpoints).union(g.breakpoints))
+    i = 0 if lo is None else bisect.bisect_right(inner, lo)
+    j = len(inner) if hi is None else bisect.bisect_left(inner, hi)
+    edges = [lo, *inner[i:j], hi]
+    for a, b in zip(edges, edges[1:]):
+        if a is None and b is None:
+            probe = F(0)
+        elif a is None:
+            probe = b - 1
+        elif b is None:
+            probe = a + 1
+        else:
+            probe = (a + b) / 2
+        yield a, b, f.piece_at(probe), g.piece_at(probe)
+
+
+WALK_PROFILES = st.one_of(
+    alpha_profiles(),
+    affine_head_alpha_profiles(),
+    near_colliding_profiles([F(1, 3), F(1, 2)], max_inner=3),
+    st.builds(ConcaveFn.affine, st.fractions(-2, 2, max_denominator=5), st.fractions(-3, 3)),
+)
+
+
+class TestPairWalk:
+    """The index merge yields what the probe-point walk yielded."""
+
+    @given(WALK_PROFILES, WALK_PROFILES, st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_merge_matches_the_probe_walk(self, f, g, same, data):
+        if same:
+            g = f
+        knots = sorted(set(f.breakpoints).union(g.breakpoints))
+        ends = [knots[0] - 1, knots[-1] + 1] if knots else [F(-1), F(1)]
+        # on a breakpoint, between two, and outside them all
+        windows = sorted({*knots, *((a + b) / 2 for a, b in zip(knots, knots[1:])), *ends})
+        lo = data.draw(st.sampled_from([None, *windows]))
+        hi = data.draw(st.sampled_from([None, *(w for w in windows if lo is None or w > lo)]))
+        got, want = list(_pair_walk(f, g, lo, hi)), list(probe_walk(f, g, lo, hi))
+        assert [(a, b) for a, b, _, _ in got] == [(a, b) for a, b, _, _ in want]
+        for (_, _, fp, gp), (_, _, fq, gq) in zip(got, want):
+            assert fp is fq and gp is gq
+
+    def test_no_breakpoints(self):
+        f, g = ConcaveFn.affine(1, 2), ConcaveFn.affine(F(1, 2))
+        assert list(_pair_walk(f, g)) == [(None, None, f.pieces[0], g.pieces[0])]
+        assert list(_pair_walk(f, g, F(-1), F(3))) == [(F(-1), F(3), f.pieces[0], g.pieces[0])]
+
+    def test_shared_breakpoint_advances_both(self):
+        f, g = ramp(), singular_ramp(F(1, 4))
+        assert list(_pair_walk(f, g)) == [
+            (None, 0, f.pieces[0], g.pieces[0]),
+            (0, None, f.pieces[1], g.pieces[1]),
+        ]
+        # a window ending on the breakpoint stops before it
+        assert list(_pair_walk(f, g, None, F(0))) == [(None, 0, f.pieces[0], g.pieces[0])]
 
 
 def per_piece_integral(d: DualFn):

@@ -32,6 +32,7 @@ from adelic_heights.convex_calculus import (
     Measure1D,
     PowerTerm,
     legendre_dual,
+    monge_ampere,
 )
 from adelic_heights.divisorial_core import Cell, Constraint, RationalVector
 from adelic_heights.scalars import Frozen
@@ -247,6 +248,61 @@ class TestReadOnlyProfiles:
         with pytest.raises(AttributeError, match="DualFn is read-only"):
             legendre_dual(canonical_fn(DIVISOR)).cache = {}
         assert global_height(fam) == F(-2, 3)
+
+
+class TestDerivedSlots:
+    """A slot named with a leading underscore holds data computed from the
+    fields: it is no field, so a value that has filled it is the same value
+    as one that has not."""
+
+    def test_a_measured_profile_is_a_fresh_profile(self):
+        def build():
+            return ConcaveFn([0], [AlphaPiece(F(1, 4), 1, 0), AffinePiece(0, 4)])
+
+        measured, fresh = build(), build()
+        mu = monge_ampere(measured)
+        assert monge_ampere(measured) is mu
+        assert mu == monge_ampere(fresh)
+        assert measured == fresh and hash(measured) == hash(fresh)
+        assert repr(measured) == repr(fresh)
+        assert measured.__reduce__() == fresh.__reduce__()
+        assert pickle.dumps(measured) == pickle.dumps(fresh)
+        for rebuilt in (
+            copy.copy(measured),
+            copy.deepcopy(measured),
+            pickle.loads(pickle.dumps(measured)),
+        ):
+            assert rebuilt == fresh and hash(rebuilt) == hash(fresh)
+            assert repr(rebuilt) == repr(fresh)
+
+    def test_a_measure_is_kept_once(self):
+        psi = canonical_fn(DIVISOR).shift(1)
+        with pytest.raises(AttributeError, match="ConcaveFn is read-only"):
+            psi._ma = Measure1D()
+        mu = monge_ampere(psi)
+        with pytest.raises(AttributeError, match="ConcaveFn is read-only"):
+            psi._ma = Measure1D()
+        assert monge_ampere(psi) is mu
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [F(1, 20), F(1, 4), F(1, 3), F(1, 2), F(19, 20), F(10**14 - 1, 10**14), F(10**17 - 1, 10**17), 0.3],
+    )
+    def test_alpha_piece_floats_are_those_of_its_fields(self, alpha):
+        # the formulas as they read the exact fields on every call
+        for slope, intercept in ((F(1), F(0)), (F(2, 3), F(-7, 5)), (F(-1, 9), 0.25)):
+            piece = AlphaPiece(alpha, slope, intercept)
+            a = float(piece.alpha)
+            assert piece.alpha_term == (1.0 / float(piece.alpha), float(piece.alpha))
+            for u in (F(0), F(-1, 3), F(-609, 16), F(-10**30, 7), -0.5, -1e-300, -1e6, -1e300):
+                value = float(piece.slope) * float(u) + float(piece.intercept) + (
+                    (1.0 - float(u)) ** a / a
+                )
+                slope_at = float(piece.slope) - (1.0 - float(u)) ** (a - 1.0)
+                assert repr(piece.value(u)) == repr(value)
+                assert repr(piece.derivative(u)) == repr(slope_at)
+            assert piece.__reduce__() == (AlphaPiece, (piece.alpha, piece.slope, piece.intercept))
+            assert "_floats" not in repr(piece)
 
 
 @pytest.mark.parametrize(
