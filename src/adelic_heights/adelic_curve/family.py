@@ -242,10 +242,6 @@ class AdelicFamily:
     def psi_at(self, place: Place) -> ConcaveFn:
         return self.exceptions.get(place, self.canonical)
 
-    def places(self) -> list[Place]:
-        """Exceptional places in canonical order."""
-        return list(self.exceptions)
-
     def is_canonical(self) -> bool:
         return not self.exceptions
 

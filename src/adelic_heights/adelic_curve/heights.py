@@ -22,7 +22,7 @@ from .family import (
     Real,
     RoofFunction,
 )
-from .places import LogLinear, Place, _valuation, log_abs, support
+from .places import LogLinear, Place, _valuations
 
 
 def roof(family: AdelicFamily) -> RoofFunction:
@@ -53,14 +53,15 @@ def point_height(family: AdelicFamily, t) -> float:
     t = _to_fraction(t)
     if t == 0:
         raise ValueError("0 lies on the boundary; use boundary_height")
-    places = set(family.places()) | set(support(t)) | {Place.infinity()}
+    vals = _valuations(t)
+    places = {*family.exceptions, *map(Place._proven, vals), Place.infinity()}
     total = 0.0
     for place in sorted(places):
         psi = family.psi_at(place)
         if place.is_infinite:
             u = math.log(t.denominator) - math.log(abs(t.numerator))
         else:
-            u = _valuation(t, place.p) * math.log(place.p)
+            u = vals.get(place.p, 0) * math.log(place.p)
         total -= psi(u)
     return total
 
@@ -75,17 +76,15 @@ def point_height_exact(family: AdelicFamily, t) -> LogLinear:
     if family.exceptions:
         raise ValueError("exact heights need the canonical profile everywhere")
     a, b = family.divisor.a, family.divisor.b
-    coeffs = {}
-    for place in support(t):
-        v = _valuation(t, place.p)
-        c = a * v if v >= 0 else -b * v
-        if c:
-            coeffs[place.p] = c
     # archimedean contribution: the sign of -log|t| is the sign of 1 - |t|
     s = -a if abs(t) <= 1 else b
-    for p, e in log_abs(t, Place.infinity()).coeffs.items():
-        coeffs[p] = coeffs[p] + s * e if p in coeffs else s * e
-    return LogLinear._of({p: c for p, c in coeffs.items() if c})
+    coeffs = {}
+    for p, v in sorted(_valuations(t).items()):
+        # this prime's own place, then its share of log|t| at infinity
+        c = (a * v if v >= 0 else -b * v) + s * v
+        if c:
+            coeffs[p] = c
+    return LogLinear._of(coeffs)
 
 
 def boundary_height(family: AdelicFamily, point: str) -> Real:

@@ -319,14 +319,19 @@ def _valuation(q: Fraction, p: int) -> int:
     return v
 
 
-def support(q) -> list[Place]:
-    """Finite places where q has a zero or pole, in increasing order."""
-    q = _to_fraction(q)
+def _valuations(q: Fraction) -> dict[int, int]:
+    """{p: v_p(q)} for nonzero q: numerator primes first, then denominator primes."""
     if q == 0:
         raise ValueError("zero has no finite support")
-    primes = [p for p, _ in _factor(abs(q.numerator))]
-    primes += [p for p, _ in _factor(q.denominator)]
-    return [Place._proven(p) for p in sorted(primes)]
+    vals = dict(_factor(abs(q.numerator)))
+    for p, e in _factor(q.denominator):
+        vals[p] = -e
+    return vals
+
+
+def support(q) -> list[Place]:
+    """Finite places where q has a zero or pole, in increasing order."""
+    return [Place._proven(p) for p in sorted(_valuations(_to_fraction(q)))]
 
 
 def abs_value(q, place: Place) -> Fraction:
@@ -346,11 +351,7 @@ def log_abs(q, place: Place) -> LogLinear:
     if q == 0:
         raise ValueError("log|0| is undefined")
     if place.is_infinite:
-        # the numerator and the denominator share no prime
-        coeffs = {p: Fraction(e) for p, e in _factor(abs(q.numerator))}
-        for p, e in _factor(q.denominator):
-            coeffs[p] = Fraction(-e)
-        return LogLinear._of(coeffs)
+        return LogLinear._of({p: Fraction(v) for p, v in _valuations(q).items()})
     v = _valuation(q, place.p)
     return LogLinear._of({place.p: Fraction(-v)} if v else {})
 
@@ -358,9 +359,10 @@ def log_abs(q, place: Place) -> LogLinear:
 def log_abs_by_place(q) -> Iterator[tuple[Place, LogLinear]]:
     """(place, log|q| there) at each finite place of the support, in
     increasing order, then at infinity: every nonzero contribution."""
-    q = _to_fraction(q)
-    for place in support(q) + [Place.infinity()]:
-        yield place, log_abs(q, place)
+    vals = _valuations(_to_fraction(q))
+    for p in sorted(vals):
+        yield Place._proven(p), LogLinear._of({p: Fraction(-vals[p])})
+    yield Place.infinity(), LogLinear._of({p: Fraction(v) for p, v in vals.items()})
 
 
 def product_formula_check(q) -> LogLinear:

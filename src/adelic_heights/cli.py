@@ -336,6 +336,8 @@ def parse_grid(spec: str) -> tuple[float, float, int]:
         raise SchemaError(
             f"grid needs lo < hi and from 2 to {MAX_GRID_POINTS} points"
         )
+    if not math.isfinite(hi - lo):
+        raise SchemaError(f"grid span of {spec!r} is beyond float range")
     return lo, hi, count
 
 

@@ -23,6 +23,7 @@ from .functions import (
 )
 
 QUAD_TOL = 1e-9  # agreement of successive double-exponential sums
+_WEAK_TOL = 1e-3  # largest last gap a weak-convergence verdict passes
 
 
 class PositiveDivergenceError(ValueError):
@@ -200,7 +201,7 @@ def integrate_against(
             expr = _Expr.difference(fp, gp)
             if method == "quad":
                 sub = DensityPiece(lo, hi, piece.coeff, piece.exponent)
-                total += _quad_piece(expr.value, sub, QUAD_TOL)
+                total += _quad_piece(expr.value, sub)
             else:
                 total += _integrate_terms_in_t(
                     _expr_times_density_terms(expr, piece), lo, hi
@@ -216,9 +217,9 @@ _TANH_SINH_X = 3.2
 _EXP_SINH_X = (-4.0, math.asinh(math.log(1e300) / _HALF_PI))
 
 
-def _de_trapezoid(term: Callable[[float], float], a: float, b: float, tol: float) -> float:
+def _de_trapezoid(term: Callable[[float], float], a: float, b: float) -> float:
     """Trapezoid sums of term on the nodes b, b - h, ... down to a, the
-    step h halving from 1/2 until two successive sums agree within tol."""
+    step h halving from 1/2 until two successive sums agree within QUAD_TOL."""
     h = 0.5
     n = math.ceil((b - a) / h)
     s = math.fsum(term(b - j * h) for j in range(n + 1))
@@ -227,13 +228,13 @@ def _de_trapezoid(term: Callable[[float], float], a: float, b: float, tol: float
         h /= 2
         n *= 2
         s += math.fsum(term(b - j * h) for j in range(1, n, 2))
-        if abs(h * s - prev) <= tol:
+        if abs(h * s - prev) <= QUAD_TOL:
             break
         prev = h * s
     return h * s
 
 
-def _quad_piece(fn: Callable[[float], float], piece: DensityPiece, tol: float) -> float:
+def _quad_piece(fn: Callable[[float], float], piece: DensityPiece) -> float:
     """Double-exponential quadrature of fn against one density piece
     (Takahasi & Mori, Publ. RIMS 9, 1974).
 
@@ -243,7 +244,7 @@ def _quad_piece(fn: Callable[[float], float], piece: DensityPiece, tol: float) -
     The half-line integrates by exp-sinh, t = t0 + exp(pi/2 sinh x).
 
     Divergence verdict: the half-line sum ends at t - t0 = 1e300. If its
-    term there exceeds tol in magnitude, the integral is judged divergent:
+    term there exceeds QUAD_TOL in magnitude, the integral is judged divergent:
     -inf for a negative term, PositiveDivergenceError for a positive one.
     So an integrand that decays more slowly than about t**-1.04 is judged
     divergent even when its integral converges. The rule assumes fn does
@@ -262,11 +263,11 @@ def _quad_piece(fn: Callable[[float], float], piece: DensityPiece, tol: float) -
 
         a, b = _EXP_SINH_X
         last = term(b)
-        if abs(last) > tol:
+        if abs(last) > QUAD_TOL:
             if last > 0:
                 raise PositiveDivergenceError("integral diverges to +infinity")
             return -math.inf
-        return _de_trapezoid(term, a, b, tol)
+        return _de_trapezoid(term, a, b)
 
     half = math.log1p(float(piece.hi - piece.lo)) / 2
 
@@ -278,17 +279,17 @@ def _quad_piece(fn: Callable[[float], float], piece: DensityPiece, tol: float) -
         dt = math.exp(y) * half * _HALF_PI * math.cosh(x) / math.cosh(v) ** 2
         return fn(u) * piece.density(u) * dt
 
-    return _de_trapezoid(term, -_TANH_SINH_X, _TANH_SINH_X, tol)
+    return _de_trapezoid(term, -_TANH_SINH_X, _TANH_SINH_X)
 
 
-def integrate_measure(fn: Callable[[float], float], mu: Measure1D, tol: float = QUAD_TOL) -> float:
+def integrate_measure(fn: Callable[[float], float], mu: Measure1D) -> float:
     """Integral of an arbitrary (bounded, continuous) function against mu:
     finite, -inf, or PositiveDivergenceError like integrate_against."""
     total = 0.0
     for loc, m in mu.atoms:
         total += float(m) * fn(float(loc))
     for piece in mu.densities:
-        total += _quad_piece(fn, piece, tol)
+        total += _quad_piece(fn, piece)
     return total
 
 
@@ -318,7 +319,6 @@ def weak_convergence_check(
     mu_seq: Sequence[Measure1D],
     mu: Measure1D,
     test_fns: Sequence[Callable[[float], float]],
-    tol: float = 1e-3,
 ) -> WeakConvergenceReport:
     """Gap report for weak convergence: vague gaps against the test
     functions together with total-mass gaps (weak = vague + masses)."""
@@ -328,4 +328,4 @@ def weak_convergence_check(
         fn_gaps.append([abs(integrate_measure(fn, m) - lim) for m in mu_seq])
     mass = mu.total_mass
     mass_gaps = [abs(m.total_mass - mass) for m in mu_seq]
-    return WeakConvergenceReport(fn_gaps, mass_gaps, tol)
+    return WeakConvergenceReport(fn_gaps, mass_gaps, _WEAK_TOL)

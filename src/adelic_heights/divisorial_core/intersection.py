@@ -138,8 +138,8 @@ def extend_intersection(
     args: Sequence[CompletionElement],
     eps,
     b_tilde: RationalVector,
-) -> float:
-    """Value of the pairing on completion points, within eps of the limit.
+) -> Fraction:
+    """Exact value of the pairing on completion points, within eps of the limit.
 
     b_tilde must dominate the common gauge b inside the nef region; it
     certifies a Lipschitz bound: moving every slot by at most delta*b
@@ -183,4 +183,4 @@ def extend_intersection(
             raise PositivityError(
                 "sequence term leaves the nef region; the extension bound fails"
             )
-    return float(imap.evaluate(final))
+    return imap.evaluate(final)

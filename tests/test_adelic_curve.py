@@ -30,6 +30,7 @@ from adelic_heights.adelic_curve import (
     twist,
 )
 from adelic_heights.adelic_curve import family as family_module
+from adelic_heights.adelic_curve import heights as heights_module
 from adelic_heights.adelic_curve import places
 from adelic_heights.cli import alpha_profile
 from adelic_heights.convex_calculus import cutoff
@@ -237,6 +238,36 @@ class TestOnePassSums:
         assert (total - total).is_zero() and total.scale(0) == LogLinear.zero()
         assert all(c for c in total.scale(s).coeffs.values())
 
+    def test_local_terms_read_one_factorization(self, monkeypatch):
+        # every local term of a rational point reads v_p from the one
+        # factorization of its numerator and denominator; dividing again
+        # by each prime of the support would hit the refusing _valuation
+        canonical = canonical_family()
+        twisted = twist(canonical, {Place.prime(2): 1, Place.prime(7): F(1, 2), INF: -3})
+        qs = [F(1), F(-1), F(12, 5), F(-140, 99), F(7, 1024)]
+
+        def values():
+            return [
+                (
+                    support(q),
+                    list(places.log_abs_by_place(q)),
+                    product_formula_check(q),
+                    list(point_height_exact(canonical, q).coeffs.items()),
+                    point_height(canonical, q),
+                    point_height(twisted, q),
+                )
+                for q in qs
+            ]
+
+        want = values()
+
+        def refuse(q, p):
+            raise AssertionError(f"v_{p}({q}) computed by trial division")
+
+        monkeypatch.setattr(places, "_valuation", refuse)
+        monkeypatch.setattr(heights_module, "_valuation", refuse, raising=False)
+        assert values() == want
+
     def test_zero_combination_is_the_float_zero(self):
         for total in (
             product_formula_check(6),
@@ -380,7 +411,7 @@ class TestFamily:
             hyperplane_divisor(), {Place.prime(3): canonical_fn(hyperplane_divisor())}
         )
         assert fam.is_canonical()
-        assert fam.places() == []
+        assert list(fam.exceptions) == []
 
     def test_psi_at_defaults_to_canonical(self):
         fam = alpha_family(F(1, 4))
@@ -393,7 +424,7 @@ class TestFamily:
             hyperplane_divisor(),
             {INF: psi, Place.prime(5): psi, Place.prime(2): psi},
         )
-        assert fam.places() == [Place.prime(2), Place.prime(5), INF]
+        assert list(fam.exceptions) == [Place.prime(2), Place.prime(5), INF]
 
     def test_strict_slope_validation(self):
         bad = ConcaveFn.affine(F(1, 2))
@@ -461,7 +492,7 @@ class TestFamily:
             del fam.exceptions
         with pytest.raises(TypeError):
             fam.exceptions[INF] = alpha_profile(F(1, 3))
-        assert fam.places() == [Place.prime(2)]
+        assert list(fam.exceptions) == [Place.prime(2)]
         assert fam.divisor == hyperplane_divisor() and fam.strict
 
     @pytest.mark.parametrize(
@@ -658,7 +689,7 @@ class TestRoofSweep:
             hyperplane_divisor(),
             {place: kinked_alpha_profile(alphas[place], kinks[place]) for place in alphas},
         )
-        duals = [legendre_dual(fam.exceptions[place]) for place in fam.places()]
+        duals = [legendre_dual(fam.exceptions[place]) for place in list(fam.exceptions)]
         merged = roof(fam).dual
         knots = (merged.lo, *merged.breakpoints, merged.hi)
         assert len(merged.pieces) == 4
@@ -684,7 +715,7 @@ class TestRoofCache:
         rng = random.Random(11)
         places = [Place.prime(p) for p in (2, 3, 5, 7, 11, 13)]
         fam = AdelicFamily(hyperplane_divisor(), {p: bounded_profile(rng) for p in places})
-        n = len(fam.places())
+        n = len(list(fam.exceptions))
         assert n >= 4
         global_height(fam)
         nef_status(fam)

@@ -144,7 +144,7 @@ class TestCodecs:
 
     def test_grid_parsing(self):
         assert cli.parse_grid("-2:2:5") == (-2.0, 2.0, 5)
-        for bad in ("1:2", "2:1:5", "0:1:1", "a:b:c"):
+        for bad in ("1:2", "2:1:5", "0:1:1", "a:b:c", "-1e308:1e308:3"):
             with pytest.raises(cli.SchemaError):
                 cli.parse_grid(bad)
 
@@ -564,7 +564,7 @@ class TestCoreDemo:
         assert metric["degenerate_direction"] == 0
         assert payload["closure"] == {"probe": [0, -1], "in_cone": False, "in_closure": True}
         assert payload["extension"]["limit"] == 1
-        assert payload["extension"]["value"] == pytest.approx(1.0, abs=1e-6)
+        assert abs(F(payload["extension"]["value"]) - 1) <= F(1, 10**6)
 
 
 HUGE_RAMP = with_params(RAMP, intercept="1e400")
@@ -607,6 +607,11 @@ IO_ERRORS = [
 EXIT_CASES += [(25 + i, argv, 2) for i, argv in enumerate(IO_ERRORS)]
 # exceptions that is not an array is malformed input
 EXIT_CASES.append((28, ("height", "--input", '{"divisor":{"a":0,"b":1},"exceptions":5}'), 2))
+# two finite grid ends whose span overflows: malformed input, not NaN points
+EXIT_CASES += [
+    (29, ("dual", "--input", json.dumps(RAMP), "--grid=-1e308:1e308:3"), 2),
+    (30, ("plot", "--input", '{"divisor":{"a":0,"b":1}}', "--grid=-1e308:1e308:3"), 2),
+]
 
 
 class TestInputRobustness:
