@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from ..convex_calculus.duality import DualFn, legendre_dual, sum_duals
+from ..convex_calculus.duality import DualFn, _ratio_sum, _read, legendre_dual, sum_duals
 from ..convex_calculus.functions import AffinePiece, ConcaveFn, bounded_above
 from ..scalars import Frozen, _to_fraction
 from .places import Place
@@ -52,9 +52,10 @@ def canonical_fn(divisor: ToricCompactifiedDivisor) -> ConcaveFn:
     return ConcaveFn([0], [AffinePiece(divisor.b, 0), AffinePiece(-divisor.a, 0)])
 
 
-def _has_divisor_slopes(psi: ConcaveFn, divisor: ToricCompactifiedDivisor) -> bool:
-    """Asymptotic slopes b toward -infinity and -a toward +infinity, exactly."""
-    return psi.slope_neg == divisor.b and psi.slope_pos == -divisor.a
+def _has_divisor_slopes(psi: ConcaveFn, can: ConcaveFn) -> bool:
+    """The asymptotic slopes of the divisor's canonical profile can, b
+    toward -infinity and -a toward +infinity, compared exactly."""
+    return psi.slope_neg == can.slope_neg and psi.slope_pos == can.slope_pos
 
 
 def _bounded_distance(psi: ConcaveFn, can: ConcaveFn) -> bool:
@@ -67,8 +68,9 @@ def strongly_nef_local_check(
 ) -> tuple[bool, bool]:
     """(has the divisor's asymptotic slopes, stays within bounded distance
     of the canonical profile: the difference is bounded above both ways)."""
-    strongly_nef = _has_divisor_slopes(psi, divisor)
-    return strongly_nef, strongly_nef and _bounded_distance(psi, canonical_fn(divisor))
+    can = canonical_fn(divisor)
+    strongly_nef = _has_divisor_slopes(psi, can)
+    return strongly_nef, strongly_nef and _bounded_distance(psi, can)
 
 
 class NefStatus(Frozen):
@@ -89,7 +91,9 @@ class RoofFunction:
     exceptional places in order. Endpoint values, minimum, integral and
     height are sums over places, O(N*k) for N places of k breakpoints,
     exact rationals wherever the dual data is affine with rational
-    coefficients; endpoint singularities evaluate to -inf. The endpoint
+    coefficients; endpoint singularities evaluate to -inf. Each sum runs
+    on integer ratios and is made one Fraction; once a float enters, it
+    adds the places in order, as a Fraction sum would. The endpoint
     values are summed once, and the merged function, `dual`, is built on
     first use by one sorted sweep.
     """
@@ -110,12 +114,17 @@ class RoofFunction:
         return self.dual(m)
 
     def value(self, m) -> Real:
-        return sum((d.value(m) for d in self.duals), Fraction(0))
+        return _read(_ratio_sum(d.piece_at(m)._value_term(m) for d in self.duals))
 
     @cached_property
     def _endpoints(self) -> tuple[Real, Real]:
+        # every dual lives on the roof's domain, so its first piece holds
+        # at lo and its last at hi
         lo, hi = self.domain
-        return self.value(lo), self.value(hi)
+        return (
+            _read(_ratio_sum(d.pieces[0]._value_term(lo) for d in self.duals)),
+            _read(_ratio_sum(d.pieces[-1]._value_term(hi) for d in self.duals)),
+        )
 
     def endpoints(self) -> tuple[Real, Real]:
         return self._endpoints
@@ -125,7 +134,7 @@ class RoofFunction:
         return min(self.endpoints())
 
     def integral(self) -> Real:
-        return sum((d.integral() for d in self.duals), Fraction(0))
+        return _read(_ratio_sum(d._integral_term() for d in self.duals))
 
     def height(self) -> Real:
         """Twice the integral: the global height of the family."""
@@ -198,7 +207,7 @@ class AdelicFamily:
                 continue
             _require_float_range(place, psi)
             table[place] = psi
-        slope_valid = all(_has_divisor_slopes(psi, divisor) for psi in table.values())
+        slope_valid = all(_has_divisor_slopes(psi, canonical) for psi in table.values())
         if strict and not slope_valid:
             raise ValueError(
                 "exceptional profile has wrong asymptotic slopes for the divisor"
@@ -228,7 +237,7 @@ class AdelicFamily:
             place
             for place, psi in self.exceptions.items()
             if not (
-                _has_divisor_slopes(psi, self.divisor)
+                _has_divisor_slopes(psi, self.canonical)
                 and _bounded_distance(psi, self.canonical)
             )
         )

@@ -12,23 +12,66 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter, le
+from operator import itemgetter
 
 from ..scalars import Frozen, _num, _to_fraction
-from .functions import AffinePiece, AlphaPiece, ConcaveFn, Number, _bisect_root
+from .functions import (
+    AffinePiece,
+    AlphaPiece,
+    ConcaveFn,
+    Number,
+    _affine_ratio,
+    _bisect_root,
+)
 from .measures import PositiveDivergenceError
+
+# A value on its way into a sum: an unreduced integer ratio (numerator,
+# positive denominator) when it is exact, a float otherwise.
+Term = tuple[int, int] | float
 
 
 def _above(x: Number, y: Number) -> bool:
-    """Slope x lies strictly above slope y: exactly on rationals, and at
-    face value in floats once either is a float (the derivative of an
-    alpha piece, or float input)."""
+    """Slope x lies strictly above slope y: exactly on rationals, by
+    integer cross-products, and at face value in floats once either is a
+    float (the derivative of an alpha piece, or float input)."""
     if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x > y
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        return xn * yd > yn * xd
     return float(x) > float(y)
+
+
+def _read(term: Term) -> Fraction | float:
+    """A term as a number: one Fraction for an integer ratio."""
+    return Fraction(*term) if type(term) is tuple else term
+
+
+def _ratio_sum(terms: Iterable[Term]) -> Term:
+    """sum(map(_read, terms), Fraction(0)), building no Fraction.
+
+    While every term is exact the sum is one integer ratio: each term is
+    reduced once and added by cross-products, and the sum is reduced when
+    it is read. Denominators of different places rarely share factors, so
+    a reduction per addition would not keep the sum smaller. From the
+    first float term on it is the float sum in the same left-to-right
+    order, each ratio rounded once: int / int rounds as float() of the
+    reduced Fraction does, so the float is bit for bit the one the
+    Fraction sum gives."""
+    num, den = 0, 1
+    terms = iter(terms)
+    for term in terms:
+        if type(term) is not tuple:
+            total = num / den + term
+            for term in terms:
+                total += term[0] / term[1] if type(term) is tuple else term
+            return total
+        n, d = term
+        g = math.gcd(n, d)
+        num, den = num * (d // g) + (n // g) * den, den * (d // g)
+    return num, den
 
 
 class PowerTerm(Frozen):
@@ -87,6 +130,16 @@ class DualPiece(Frozen):
             v += t.derivative(float(m))
         return v
 
+    def _value_term(self, m) -> Term:
+        """The value at m as DualFn.value gives it: the float value of a
+        piece with power terms, else the value at the exact m, a ratio
+        when slope and intercept are rational."""
+        if self.terms:
+            return self.value(m)
+        m = _to_fraction(m)
+        ratio = _affine_ratio(self.slope, self.intercept, m)
+        return self.slope * m + self.intercept if ratio is None else ratio
+
 
 class DualFn(Frozen):
     """Concave function on [lo, hi] (a slope interval), piecewise affine
@@ -107,8 +160,12 @@ class DualFn(Frozen):
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pieces)
-        if lo >= hi:
-            if lo > hi:
+        # every knot as its integer ratio: a float's is exact too, so the
+        # order is decided exactly on Fractions and floats alike
+        knots = [k.as_integer_ratio() for k in (lo, *bps, hi)]
+        (ln, ld), (hn, hd) = knots[0], knots[-1]
+        if hn * ld <= ln * hd:
+            if hn * ld < ln * hd:
                 raise ValueError("empty dual domain")
             if len(pieces) > 1 or bps:
                 raise ValueError("a point domain carries a single piece")
@@ -116,8 +173,7 @@ class DualFn(Frozen):
         if len(pieces) != len(bps) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
         # lo < hi, so only breakpoints can put the knots out of order
-        knots = (lo, *bps, hi)
-        if bps and any(map(le, knots[1:], knots)):
+        if bps and any(bn * ad <= an * bd for (an, ad), (bn, bd) in zip(knots, knots[1:])):
             raise ValueError("dual breakpoints must increase inside the domain")
 
     def is_degenerate(self) -> bool:
@@ -139,11 +195,8 @@ class DualFn(Frozen):
     def value(self, m) -> Fraction | float:
         """A piece with power terms evaluates in floats (-inf at a
         non-integrable endpoint); an affine piece evaluates at the exact m,
-        so its value is a Fraction when its coefficients are."""
-        piece = self.piece_at(m)
-        if piece.terms:
-            return piece.value(m)
-        return piece.slope * _to_fraction(m) + piece.intercept
+        so its value is one Fraction when its coefficients are rational."""
+        return _read(self.piece_at(m)._value_term(m))
 
     def value_exact(self, m) -> Fraction:
         value = self.value(m)
@@ -162,18 +215,21 @@ class DualFn(Frozen):
         affine with rational coefficients and every edge is rational, a
         float otherwise.
 
-        Twice the integral of each rational affine piece,
-        (b - a)*(slope*(a + b) + 2*intercept), goes into one exact sum of
-        integer numerator over integer denominator, made a Fraction (or a
-        float) once and halved at the end. A piece with power terms, a
-        float edge or a float coefficient is integrated in floats
-        throughout.
-
         Endpoint singularities with exponent > -1 converge; at -1 and
         below the integral is -inf (positive divergence cannot occur for
         a concave dual, and would raise PositiveDivergenceError)."""
+        return _read(self._integral_term())
+
+    def _integral_term(self) -> Term:
+        """The integral as a ratio or a float.
+
+        Twice the integral of each rational affine piece,
+        (b - a)*(slope*(a + b) + 2*intercept), goes into one exact sum of
+        integer numerator over integer denominator, not reduced, and
+        halved at the end. A piece with power terms, a float edge or a
+        float coefficient is integrated in floats throughout."""
         if self.is_degenerate():
-            return Fraction(0)
+            return 0, 1
         num, den = 0, 1  # twice the exact part, not reduced
         inexact, any_float = 0.0, False
         edges = (self.lo, *self.breakpoints, self.hi)
@@ -201,7 +257,7 @@ class DualFn(Frozen):
         if any_float:
             # int / int rounds once, as float() of the reduced Fraction does
             return num / den / 2 + inexact
-        return Fraction(num, 2 * den)
+        return num, 2 * den
 
 
 def _integrate_power_term(t: PowerTerm, a: float, b: float) -> float:
@@ -307,8 +363,15 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
             t = f.breakpoints[i]
             d_hi = piece.derivative(t)
             if _above(d_hi, cur):
-                # exact when the piece is affine with rational coefficients
-                entries.append((d_hi, DualPiece(t, -piece.value(t))))
+                # one Fraction when the piece is affine with rational
+                # coefficients, negated in its integer numerator
+                ratio = (
+                    _affine_ratio(piece.slope, piece.intercept, t)
+                    if isinstance(piece, AffinePiece)
+                    else None
+                )
+                value = -piece.value(t) if ratio is None else Fraction(-ratio[0], ratio[1])
+                entries.append((d_hi, DualPiece(t, value)))
                 cur = d_hi
         if isinstance(piece, AlphaPiece):
             left = f.breakpoints[i - 1] if i >= 1 else None

@@ -27,6 +27,18 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-8 + 1e-8 * max(abs(a), abs(b))
 
 
+def _affine_ratio(s, c, u) -> tuple[int, int] | None:
+    """s*u + c as an unreduced integer ratio (numerator, positive
+    denominator) when all three are Fractions, from their integer
+    numerators and denominators; None once any is a float."""
+    if isinstance(s, Fraction) and isinstance(c, Fraction) and isinstance(u, Fraction):
+        sn, sd = s.as_integer_ratio()
+        cn, cd = c.as_integer_ratio()
+        un, ud = u.as_integer_ratio()
+        return sn * un * cd + cn * sd * ud, sd * ud * cd
+    return None
+
+
 class AffinePiece(Frozen):
     """slope*u + intercept."""
 
@@ -40,13 +52,10 @@ class AffinePiece(Frozen):
         """A Fraction at a rational u when slope and intercept are
         rational, built once from integer cross-products; a float once
         any of the three is a float."""
-        s, c = self.slope, self.intercept
-        if isinstance(s, Fraction) and isinstance(c, Fraction) and isinstance(u, Fraction):
-            sn, sd = s.as_integer_ratio()
-            cn, cd = c.as_integer_ratio()
-            un, ud = u.as_integer_ratio()
-            return Fraction(sn * un * cd + cn * sd * ud, sd * ud * cd)
-        return s * u + c
+        ratio = _affine_ratio(self.slope, self.intercept, u)
+        if ratio is None:
+            return self.slope * u + self.intercept
+        return Fraction(*ratio)
 
     def derivative(self, u):
         return self.slope
@@ -105,6 +114,17 @@ def _rational_affine(p: Piece) -> bool:
         and isinstance(p.slope, Fraction)
         and isinstance(p.intercept, Fraction)
     )
+
+
+def _float_value(p: Piece, t: Fraction) -> float:
+    """float(p.value(t)) at a rational t. On a rational affine piece it is
+    one int/int true division of the integer cross-products, the same
+    correctly rounded float with no Fraction built."""
+    if isinstance(p, AffinePiece):
+        ratio = _affine_ratio(p.slope, p.intercept, t)
+        if ratio is not None:
+            return ratio[0] / ratio[1]
+    return float(p.value(t))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +355,9 @@ class ConcaveFn(Frozen):
                 continuous = gap * tn * lcd * rcd == (rc * lcd - lc * rcd) * lsd * rsd * td
                 concave = gap >= 0
             else:
-                lv, rv = left.value(t), right.value(t)
-                ld, rd = left.derivative(t), right.derivative(t)
-                ld, rd = float(ld), float(rd)
-                continuous = _close(float(lv), float(rv))
+                lv, rv = _float_value(left, t), _float_value(right, t)
+                ld, rd = float(left.derivative(t)), float(right.derivative(t))
+                continuous = _close(lv, rv)
                 concave = ld >= rd - 1e-9 * max(1.0, abs(ld), abs(rd))
             if not continuous:
                 raise ValueError(f"discontinuity at breakpoint {t}")

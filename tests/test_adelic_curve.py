@@ -35,7 +35,7 @@ from adelic_heights.adelic_curve import places
 from adelic_heights.cli import alpha_profile
 from adelic_heights.convex_calculus import cutoff
 from adelic_heights.convex_calculus import functions as functions_module
-from adelic_heights.convex_calculus.duality import DualPiece, legendre_dual
+from adelic_heights.convex_calculus.duality import DualFn, DualPiece, legendre_dual
 from adelic_heights.convex_calculus.functions import (
     AffinePiece,
     AlphaPiece,
@@ -698,6 +698,163 @@ class TestRoofSweep:
             assert piece.terms == tuple(t for d in duals for t in d.piece_at(m).terms)
         exponents = [-float(a) / float(1 - a) for a in (F(1, 4), F(1, 3), F(1, 5))]
         assert [t.exponent for t in merged.pieces[-1].terms] == exponents
+
+
+@st.composite
+def rational_families(draw) -> AdelicFamily:
+    """Families of rational affine profiles, up to 16 breakpoints each, for
+    a drawn divisor. The places draw their breakpoints and inner slopes
+    from two shared pools, so knots coincide across places. A degree-0
+    divisor makes every profile a line and every dual a point."""
+    b = draw(st.fractions(-3, 3, max_denominator=7))
+    degree = draw(st.one_of(st.just(F(0)), st.fractions(F(1, 10), 4, max_denominator=10)))
+    divisor = ToricCompactifiedDivisor(degree - b, b)
+    pool_size = draw(st.integers(1, 16))
+    bp_pool = draw(
+        st.lists(
+            st.fractions(-8, 8, max_denominator=30),
+            min_size=pool_size,
+            max_size=pool_size,
+            unique=True,
+        )
+    )
+    slope_pool = draw(
+        st.lists(
+            st.fractions(0, 1, max_denominator=40).filter(lambda w: 0 < w < 1),
+            min_size=pool_size - 1,
+            max_size=pool_size - 1,
+            unique=True,
+        )
+    )
+    slope_pool = [b - w * degree for w in slope_pool]
+    table = {}
+    primes = draw(
+        st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=5, unique=True)
+    )
+    for p in primes:
+        c0 = draw(st.fractions(-4, 4, max_denominator=11))
+        if degree == 0:
+            table[Place.prime(p)] = ConcaveFn.affine(b, c0)
+            continue
+        k = draw(st.integers(1, pool_size))
+        bps = sorted(draw(st.permutations(bp_pool))[:k])
+        inner = sorted(draw(st.permutations(slope_pool))[: k - 1], reverse=True)
+        table[Place.prime(p)] = profile_through([b, *inner, -divisor.a], bps, c0)
+    return AdelicFamily(divisor, table)
+
+
+def _oracle_value(duals, m):
+    """sum((d.value(m) for d in duals), Fraction(0)), each place's value
+    checked against its piece's operator chain at the exact m."""
+    for d in duals:
+        piece = d.piece_at(m)
+        if not piece.terms:
+            assert _same(d.value(m), piece.slope * F(m) + piece.intercept)
+    return sum((d.value(m) for d in duals), F(0))
+
+
+def _chain_integral(d) -> F:
+    """The integral of a rational affine dual by Fraction operators,
+    piece by piece."""
+    if d.is_degenerate():
+        return F(0)
+    edges = [d.lo, *d.breakpoints, d.hi]
+    return sum(
+        (
+            p.slope * (b * b - a * a) / 2 + p.intercept * (b - a)
+            for p, a, b in zip(d.pieces, edges, edges[1:])
+        ),
+        F(0),
+    )
+
+
+def _same(x, y) -> bool:
+    """Equal and of one type; a float bit for bit (repr tells -0.0 apart)."""
+    return type(x) is type(y) and (x == y if isinstance(x, F) else repr(x) == repr(y))
+
+
+class TestRoofSums:
+    """The roof's endpoint values, value, integral and height sum the
+    places on integer ratios; they equal the left-to-right Fraction sums
+    of the per-place values, exactly, and bit for bit once a float
+    enters."""
+
+    @given(rational_families(), st.fractions(0, 1, max_denominator=97))
+    @settings(max_examples=80, deadline=None)
+    def test_rational_sums_equal_the_operator_chains(self, fam, w):
+        theta = roof(fam)
+        duals = theta.duals
+        lo, hi = theta.domain
+        merged = theta.dual
+        for d in duals:
+            assert d.integral() == _chain_integral(d)
+        integral = sum((d.integral() for d in duals), F(0))
+        assert _same(theta.integral(), integral)
+        assert _same(theta.height(), 2 * integral) and _same(global_height(fam), 2 * integral)
+        assert _same(theta.endpoints()[0], _oracle_value(duals, lo))
+        assert _same(theta.endpoints()[1], _oracle_value(duals, hi))
+        for m in (lo, *merged.breakpoints, hi, lo + w * (hi - lo)):
+            want = _oracle_value(duals, m)
+            assert isinstance(want, F)
+            assert _same(theta.value(m), want) and _same(merged.value(m), want)
+        if lo == hi:
+            assert all(d.is_degenerate() for d in duals) and theta.height() == 0
+
+    @given(
+        st.lists(
+            st.one_of(
+                alpha_profiles(),
+                affine_head_alpha_profiles(),
+                near_colliding_profiles([F(1, 3), F(1, 2)], max_inner=3),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.fractions(0, 1, max_denominator=97),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_sums_are_bit_identical(self, profiles, w):
+        places = [Place.prime(p) for p in (2, 3, 5, 7, 11)]
+        fam = AdelicFamily(hyperplane_divisor(), dict(zip(places, profiles)))
+        theta = roof(fam)
+        duals = theta.duals
+        lo, hi = theta.domain
+        integral = sum((d.integral() for d in duals), F(0))
+        assert _same(theta.integral(), integral)
+        assert _same(theta.height(), 2 * integral)
+        assert _same(theta.endpoints()[0], _oracle_value(duals, lo))
+        assert _same(theta.endpoints()[1], _oracle_value(duals, hi))
+        knots = (lo, *theta.dual.breakpoints, hi)
+        for m in (*knots, lo + w * (hi - lo), float(w)):
+            assert _same(theta.value(m), _oracle_value(duals, m))
+
+    @pytest.mark.parametrize(
+        "lo, breakpoints, hi",
+        [
+            (F(0), [F(1, 2), F(1, 2)], F(1)),
+            (F(0), [F(2, 3), F(1, 3)], F(1)),
+            (F(0), [F(0)], F(1)),
+            (F(0), [F(1)], F(1)),
+            (F(0), [F(3, 2)], F(1)),
+            (0.0, [0.5, 0.5], 1.0),
+            (0.0, [0.75, 0.25], 1.0),
+            (F(0), [0.5, F(1, 2)], F(1)),
+            (F(0), [F(1, 2), 0.25], 1.0),
+            (F(0), [0.0], F(1)),
+        ],
+    )
+    def test_dual_refuses_knots_out_of_order(self, lo, breakpoints, hi):
+        pieces = [DualPiece(0, 0)] * (len(breakpoints) + 1)
+        with pytest.raises(ValueError, match="must increase"):
+            DualFn(lo, hi, breakpoints, pieces)
+
+    def test_dual_domain_checks(self):
+        with pytest.raises(ValueError, match="empty"):
+            DualFn(F(1), 0.5, [], [DualPiece(0, 0)])
+        with pytest.raises(ValueError, match="single piece"):
+            DualFn(0.5, F(1, 2), [], [DualPiece(0, 0)] * 2)
+        mixed = DualFn(F(0), 1.0, [0.25, F(1, 2), 0.75], [DualPiece(0, 0)] * 4)
+        assert mixed.breakpoints == (0.25, F(1, 2), 0.75)
 
 
 class TestRoofCache:

@@ -7,6 +7,7 @@ and from hand evaluation of small piecewise-affine examples.
 
 import bisect
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -574,16 +575,13 @@ class TestDualIntegral:
 class TestFractionChurn:
     """Rational profiles are validated, dualized and integrated on integer
     numerators and denominators, building a Fraction per result and none
-    per arithmetic step. The counts are those of these kernels on one
-    fixed profile with 4 breakpoints; Fraction operator chains in their
-    place build 16, 12 and 30."""
+    per arithmetic step; a family's roof sums its places the same way.
+    The counts are those of these kernels on fixed rational data;
+    Fraction operator chains in their place build many times more."""
 
-    def test_constructions_on_a_rational_profile(self, monkeypatch):
-        f = profile_through(
-            [F(1), F(3, 7), F(-2, 11), F(-5, 13), F(-1)],
-            [F(-7, 3), F(-1, 5), F(2, 9), F(31, 6)],
-            F(5, 17),
-        )
+    @pytest.fixture
+    def count(self, monkeypatch):
+        """count(build) -> (Fractions built while build() runs, its result)."""
         made = []
         new = Fraction.__new__
 
@@ -605,13 +603,71 @@ class TestFractionChurn:
             result = build()
             return len(made), result
 
+        return count
+
+    def test_constructions_on_a_rational_profile(self, count):
+        f = profile_through(
+            [F(1), F(3, 7), F(-2, 11), F(-5, 13), F(-1)],
+            [F(-7, 3), F(-1, 5), F(2, 9), F(31, 6)],
+            F(5, 17),
+        )
         validated, g = count(lambda: ConcaveFn(f.breakpoints, f.pieces))
         dualized, d = count(lambda: legendre_dual(g))
         integrated, total = count(d.integral)
         assert g == f and total == per_piece_integral(d)[0]
-        # none to validate; per breakpoint the value -f(t) and its negation;
+        # none to validate; one per breakpoint, the negated value -f(t);
         # one for the integral
-        assert (validated, dualized, integrated) == (0, 8, 1)
+        assert (validated, dualized, integrated) == (0, 4, 1)
+
+    def test_alpha_affine_breakpoint_validates_without_fractions(self, count):
+        # the affine side's float is one int/int division of its integer
+        # cross-products, the same float as float(AffinePiece.value(t))
+        f = singular_ramp(F(3, 20))
+        validated, g = count(lambda: ConcaveFn(f.breakpoints, f.pieces))
+        assert g == f and validated == 0
+
+    def test_constructions_on_a_rational_family(self, count):
+        from adelic_heights.adelic_curve import (
+            AdelicFamily,
+            Place,
+            ToricCompactifiedDivisor,
+            boundary_height,
+            global_height,
+            nef_status,
+            roof,
+        )
+
+        # 8 places of 4 breakpoints each, slopes falling from 1 to -1
+        rng = random.Random(18)
+        divisor = ToricCompactifiedDivisor(1, 1)
+        table = {}
+        for p in (2, 3, 5, 7, 11, 13, 17, 19):
+            inner = sorted({F(rng.randint(-99, 99), rng.randint(100, 999)) for _ in range(3)})
+            bps = sorted({F(rng.randint(-800, 800), rng.randint(1, 97)) for _ in range(4)})
+            assert len(inner) == 3 and len(bps) == 4
+            c0 = F(rng.randint(-9, 9), 7)
+            table[Place.prime(p)] = profile_through([F(1), *inner[::-1], F(-1)], bps, c0)
+        bare, _ = count(lambda: AdelicFamily(divisor))
+        built, fam = count(lambda: AdelicFamily(divisor, table))
+        dualized, theta = count(lambda: roof(fam))
+        pieces = sum(len(d.pieces) for d in theta.duals)
+        height_made, height = count(lambda: global_height(fam))
+        verdict_made, (status, zero, infinity) = count(
+            lambda: (
+                nef_status(fam),
+                boundary_height(fam, "zero"),
+                boundary_height(fam, "infinity"),
+            )
+        )
+        assert len(fam.exceptions) == 8 and pieces == 8 * 4 + 1
+        assert isinstance(height, Fraction) and status.mu_min_asy == min(zero, infinity)
+        # none per exceptional place to build the family; at most one per
+        # dual piece for the roof; one for the integral and one to double
+        # it; one per endpoint for the verdict and both boundary heights
+        assert built == bare
+        assert dualized <= pieces
+        assert height_made <= 2
+        assert verdict_made <= 2
 
 
 class TestBidual:
