@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from ..convex_calculus.duality import DualFn, _ratio_sum, _read, legendre_dual, sum_duals
+from ..convex_calculus.duality import DualFn, legendre_dual, sum_duals
 from ..convex_calculus.functions import AffinePiece, ConcaveFn, bounded_above
-from ..scalars import Frozen, _to_fraction
+from ..scalars import Frozen, _ratio_sum, _read, _to_fraction
 from .places import Place
 
 Real = Fraction | float

@@ -318,7 +318,7 @@ def load_input(raw: str | None):
             raise SchemaError(f"cannot read input {raw}: {exc.strerror or exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
 
 

@@ -12,66 +12,26 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from ..scalars import Frozen, _num, _to_fraction
-from .functions import (
-    AffinePiece,
-    AlphaPiece,
-    ConcaveFn,
-    Number,
+from ..scalars import (
+    Frozen,
+    Term,
+    _above,
+    _add_twice_integral,
     _affine_ratio,
-    _bisect_root,
+    _float_of,
+    _increasing,
+    _negated,
+    _num,
+    _read,
+    _to_fraction,
 )
+from .functions import AffinePiece, AlphaPiece, ConcaveFn, Number, _bisect_root
 from .measures import PositiveDivergenceError
-
-# A value on its way into a sum: an unreduced integer ratio (numerator,
-# positive denominator) when it is exact, a float otherwise.
-Term = tuple[int, int] | float
-
-
-def _above(x: Number, y: Number) -> bool:
-    """Slope x lies strictly above slope y: exactly on rationals, by
-    integer cross-products, and at face value in floats once either is a
-    float (the derivative of an alpha piece, or float input)."""
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        xn, xd = x.as_integer_ratio()
-        yn, yd = y.as_integer_ratio()
-        return xn * yd > yn * xd
-    return float(x) > float(y)
-
-
-def _read(term: Term) -> Fraction | float:
-    """A term as a number: one Fraction for an integer ratio."""
-    return Fraction(*term) if type(term) is tuple else term
-
-
-def _ratio_sum(terms: Iterable[Term]) -> Term:
-    """sum(map(_read, terms), Fraction(0)), building no Fraction.
-
-    While every term is exact the sum is one integer ratio: each term is
-    reduced once and added by cross-products, and the sum is reduced when
-    it is read. Denominators of different places rarely share factors, so
-    a reduction per addition would not keep the sum smaller. From the
-    first float term on it is the float sum in the same left-to-right
-    order, each ratio rounded once: int / int rounds as float() of the
-    reduced Fraction does, so the float is bit for bit the one the
-    Fraction sum gives."""
-    num, den = 0, 1
-    terms = iter(terms)
-    for term in terms:
-        if type(term) is not tuple:
-            total = num / den + term
-            for term in terms:
-                total += term[0] / term[1] if type(term) is tuple else term
-            return total
-        n, d = term
-        g = math.gcd(n, d)
-        num, den = num * (d // g) + (n // g) * den, den * (d // g)
-    return num, den
 
 
 class PowerTerm(Frozen):
@@ -136,9 +96,7 @@ class DualPiece(Frozen):
         when slope and intercept are rational."""
         if self.terms:
             return self.value(m)
-        m = _to_fraction(m)
-        ratio = _affine_ratio(self.slope, self.intercept, m)
-        return self.slope * m + self.intercept if ratio is None else ratio
+        return _affine_ratio(self, _to_fraction(m))
 
 
 class DualFn(Frozen):
@@ -160,21 +118,18 @@ class DualFn(Frozen):
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pieces)
-        # every knot as its integer ratio: a float's is exact too, so the
-        # order is decided exactly on Fractions and floats alike
-        knots = [k.as_integer_ratio() for k in (lo, *bps, hi)]
-        (ln, ld), (hn, hd) = knots[0], knots[-1]
-        if hn * ld <= ln * hd:
-            if hn * ld < ln * hd:
+        # exact on Fractions and floats alike; a point domain is no fault
+        if not _increasing((lo, *bps, hi)):
+            if lo == hi:
+                if len(pieces) > 1 or bps:
+                    raise ValueError("a point domain carries a single piece")
+                return
+            if not _increasing((lo, hi)):
                 raise ValueError("empty dual domain")
-            if len(pieces) > 1 or bps:
-                raise ValueError("a point domain carries a single piece")
-            return
+            if len(pieces) == len(bps) + 1:
+                raise ValueError("dual breakpoints must increase inside the domain")
         if len(pieces) != len(bps) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
-        # lo < hi, so only breakpoints can put the knots out of order
-        if bps and any(bn * ad <= an * bd for (an, ad), (bn, bd) in zip(knots, knots[1:])):
-            raise ValueError("dual breakpoints must increase inside the domain")
 
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
@@ -223,38 +178,25 @@ class DualFn(Frozen):
     def _integral_term(self) -> Term:
         """The integral as a ratio or a float.
 
-        Twice the integral of each rational affine piece,
-        (b - a)*(slope*(a + b) + 2*intercept), goes into one exact sum of
-        integer numerator over integer denominator, not reduced, and
-        halved at the end. A piece with power terms, a float edge or a
-        float coefficient is integrated in floats throughout."""
+        Twice the integral of each rational affine piece goes into one
+        exact sum, halved at the end. A piece with power terms, a float
+        edge or a float coefficient is integrated in floats throughout,
+        and the exact sum is rounded once and added to those."""
         if self.is_degenerate():
             return 0, 1
-        num, den = 0, 1  # twice the exact part, not reduced
-        inexact, any_float = 0.0, False
+        twice, inexact, exact = (0, 1), 0.0, True
         edges = (self.lo, *self.breakpoints, self.hi)
         for piece, a, b in zip(self.pieces, edges, edges[1:]):
-            s, c = piece.slope, piece.intercept
-            if (
-                not piece.terms
-                and isinstance(a, Fraction)
-                and isinstance(b, Fraction)
-                and isinstance(s, Fraction)
-                and isinstance(c, Fraction)
-            ):
-                an, ad = a.as_integer_ratio()
-                bn, bd = b.as_integer_ratio()
-                sn, sd = s.as_integer_ratio()
-                cn, cd = c.as_integer_ratio()
-                n = (bn * ad - an * bd) * (sn * (an * bd + bn * ad) * cd + 2 * cn * sd * ad * bd)
-                d = (ad * bd) ** 2 * sd * cd
-                num, den = num * d + n * den, den * d
+            total = None if piece.terms else _add_twice_integral(twice, piece, a, b)
+            if total is not None:
+                twice = total
                 continue
-            any_float = True
-            a, b = float(a), float(b)
-            inexact += (b - a) * (float(s) * (a + b) / 2 + float(c))
+            exact = False
+            a, b, s, c = map(_float_of, (a, b, piece.slope, piece.intercept))
+            inexact += (b - a) * (s * (a + b) / 2 + c)
             inexact += sum(_integrate_power_term(t, a, b) for t in piece.terms)
-        if any_float:
+        num, den = twice
+        if not exact:
             # int / int rounds once, as float() of the reduced Fraction does
             return num / den / 2 + inexact
         return num, 2 * den
@@ -363,23 +305,15 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
             t = f.breakpoints[i]
             d_hi = piece.derivative(t)
             if _above(d_hi, cur):
-                # one Fraction when the piece is affine with rational
-                # coefficients, negated in its integer numerator
-                ratio = (
-                    _affine_ratio(piece.slope, piece.intercept, t)
-                    if isinstance(piece, AffinePiece)
-                    else None
-                )
-                value = -piece.value(t) if ratio is None else Fraction(-ratio[0], ratio[1])
-                entries.append((d_hi, DualPiece(t, value)))
+                # one Fraction when the piece is affine with rational coefficients
+                entries.append((d_hi, DualPiece(t, _read(_negated(piece._value_term(t))))))
                 cur = d_hi
         if isinstance(piece, AlphaPiece):
             left = f.breakpoints[i - 1] if i >= 1 else None
             s, c = piece.slope, piece.intercept
             d_left: Number = s if left is None else piece.derivative(left)
             if _above(d_left, cur):
-                an, ad = piece.alpha.as_integer_ratio()
-                alpha, b = an / ad, (ad - an) / ad  # float(alpha), float(1 - alpha)
+                alpha, _, _, _, b = piece._floats  # float(alpha), float(1 - alpha)
                 term = PowerTerm(-b / alpha, -alpha / b, s)
                 entries.append((d_left, DualPiece(1, -(s + c), (term,))))
                 cur = d_left

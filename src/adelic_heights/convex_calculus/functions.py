@@ -17,27 +17,19 @@ import bisect
 import math
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from operator import le
 
-from ..scalars import Frozen, _num, _to_fraction
+from ..scalars import (
+    Frozen,
+    _above,
+    _affine_ratio,
+    _float_of,
+    _increasing,
+    _num,
+    _read,
+    _to_fraction,
+)
 
 Number = int | Fraction | float
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-8 + 1e-8 * max(abs(a), abs(b))
-
-
-def _affine_ratio(s, c, u) -> tuple[int, int] | None:
-    """s*u + c as an unreduced integer ratio (numerator, positive
-    denominator) when all three are Fractions, from their integer
-    numerators and denominators; None once any is a float."""
-    if isinstance(s, Fraction) and isinstance(c, Fraction) and isinstance(u, Fraction):
-        sn, sd = s.as_integer_ratio()
-        cn, cd = c.as_integer_ratio()
-        un, ud = u.as_integer_ratio()
-        return sn * un * cd + cn * sd * ud, sd * ud * cd
-    return None
-
 
 class AffinePiece(Frozen):
     """slope*u + intercept."""
@@ -52,10 +44,9 @@ class AffinePiece(Frozen):
         """A Fraction at a rational u when slope and intercept are
         rational, built once from integer cross-products; a float once
         any of the three is a float."""
-        ratio = _affine_ratio(self.slope, self.intercept, u)
-        if ratio is None:
-            return self.slope * u + self.intercept
-        return Fraction(*ratio)
+        return _read(_affine_ratio(self, u))
+
+    _value_term = _affine_ratio
 
     def derivative(self, u):
         return self.slope
@@ -71,11 +62,13 @@ class AffinePiece(Frozen):
 class AlphaPiece(Frozen):
     """slope*u + intercept + (1/alpha)*(1-u)**alpha, on intervals with u <= 0.
 
-    The float forms of alpha, slope and intercept, and the power term
-    (1/alpha, alpha), are taken once from the exact fields, when the piece
-    is built; value, derivative and alpha_term read them."""
+    The floats of alpha, slope, intercept, the power term (1/alpha, alpha)
+    and 1 - alpha (on the exact alpha: nonzero where float(alpha) is 1.0)
+    are taken once, when the piece is built, or OverflowError when one is
+    no float; the piece, its curvature measure and its dual read them."""
 
     __slots__ = ("alpha", "slope", "intercept", "_floats")
+    _one_minus_u = AffinePiece(-1, 1)  # exactly 1 - alpha at alpha, with no Fraction built
 
     def __init__(self, alpha: Number, slope: Number, intercept: Number):
         alpha, slope, intercept = _num(alpha), _num(slope), _num(intercept)
@@ -84,16 +77,21 @@ class AlphaPiece(Frozen):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "intercept", intercept)
-        a = float(alpha)
-        object.__setattr__(self, "_floats", (a, float(slope), float(intercept), (1.0 / a, a)))
+        a, b = _float_of(alpha), _float_of(_affine_ratio(self._one_minus_u, alpha))
+        if not a or 1.0 / a == math.inf:
+            raise OverflowError("alpha below float range: 1/alpha exceeds the largest float")
+        s, c = _float_of(slope), _float_of(intercept)
+        object.__setattr__(self, "_floats", (a, s, c, (1.0 / a, a), b))
 
     def value(self, u) -> float:
-        a, s, c, _ = self._floats
+        a, s, c, _, _ = self._floats
         u = float(u)
         return s * u + c + (1.0 - u) ** a / a
 
+    _value_term = value  # a float is its own term
+
     def derivative(self, u) -> float:
-        a, s, _, _ = self._floats
+        a, s, _, _, _ = self._floats
         return s - (1.0 - float(u)) ** (a - 1.0)
 
     def shifted(self, c) -> "AlphaPiece":
@@ -106,25 +104,6 @@ class AlphaPiece(Frozen):
 
 
 Piece = AffinePiece | AlphaPiece
-
-
-def _rational_affine(p: Piece) -> bool:
-    return (
-        isinstance(p, AffinePiece)
-        and isinstance(p.slope, Fraction)
-        and isinstance(p.intercept, Fraction)
-    )
-
-
-def _float_value(p: Piece, t: Fraction) -> float:
-    """float(p.value(t)) at a rational t. On a rational affine piece it is
-    one int/int true division of the integer cross-products, the same
-    correctly rounded float with no Fraction built."""
-    if isinstance(p, AffinePiece):
-        ratio = _affine_ratio(p.slope, p.intercept, t)
-        if ratio is not None:
-            return ratio[0] / ratio[1]
-    return float(p.value(t))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +291,7 @@ class ConcaveFn(Frozen):
         pieces = list(pieces)
         if len(pieces) != len(bps) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
-        if any(map(le, bps[1:], bps)):
+        if not _increasing(bps):
             raise ValueError("breakpoints must be strictly increasing")
         bps, pieces = self._merge(bps, pieces)
         object.__setattr__(self, "breakpoints", tuple(bps))
@@ -332,32 +311,22 @@ class ConcaveFn(Frozen):
     def _validate(self) -> None:
         """The one check of each breakpoint's values and slopes, which
         monge_ampere and legendre_dual trust. Exact when both sides are
-        affine with rational coefficients, on their integer numerators
-        and denominators; with a singular or float side, with slack."""
+        affine with rational coefficients, so that both values are integer
+        ratios; with a singular or float side, in floats with slack."""
         for i, piece in enumerate(self.pieces):
             hi = self.breakpoints[i] if i < len(self.breakpoints) else None
-            if isinstance(piece, AlphaPiece):
-                if hi is None or hi > 0:
-                    raise ValueError(
-                        "singular pieces require an interval with right endpoint <= 0"
-                    )
+            if isinstance(piece, AlphaPiece) and (hi is None or hi > 0):
+                raise ValueError("singular pieces require an interval with right endpoint <= 0")
         for i, t in enumerate(self.breakpoints):
             left, right = self.pieces[i], self.pieces[i + 1]
-            if _rational_affine(left) and _rational_affine(right):
-                # (ls - rs)*t == rc - lc and ls >= rs, in integers over
-                # the positive denominators
-                ls, lsd = left.slope.as_integer_ratio()
-                rs, rsd = right.slope.as_integer_ratio()
-                lc, lcd = left.intercept.as_integer_ratio()
-                rc, rcd = right.intercept.as_integer_ratio()
-                tn, td = t.as_integer_ratio()
-                gap = ls * rsd - rs * lsd
-                continuous = gap * tn * lcd * rcd == (rc * lcd - lc * rcd) * lsd * rsd * td
-                concave = gap >= 0
+            lv, rv = left._value_term(t), right._value_term(t)
+            if type(lv) is tuple and type(rv) is tuple:
+                continuous = lv[0] * rv[1] == rv[0] * lv[1]
+                concave = not _above(right.slope, left.slope)
             else:
-                lv, rv = _float_value(left, t), _float_value(right, t)
-                ld, rd = float(left.derivative(t)), float(right.derivative(t))
-                continuous = _close(lv, rv)
+                lv, rv = _float_of(lv), _float_of(rv)
+                ld, rd = _float_of(left.derivative(t)), _float_of(right.derivative(t))
+                continuous = abs(lv - rv) <= 1e-8 + 1e-8 * max(abs(lv), abs(rv))
                 concave = ld >= rd - 1e-9 * max(1.0, abs(ld), abs(rd))
             if not continuous:
                 raise ValueError(f"discontinuity at breakpoint {t}")

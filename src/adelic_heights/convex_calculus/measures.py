@@ -165,8 +165,7 @@ def monge_ampere(f: ConcaveFn) -> Measure1D:
     densities: list[DensityPiece] = []
     for lo, hi, piece in f.intervals():
         if isinstance(piece, AlphaPiece):
-            n, d = piece.alpha.as_integer_ratio()
-            b = (d - n) / d  # float(1 - alpha)
+            b = piece._floats[4]  # float(1 - alpha)
             densities.append(DensityPiece(lo, hi, b, -1.0 - b))
     mu = Measure1D(tuple(atoms), tuple(densities))
     object.__setattr__(f, "_ma", mu)

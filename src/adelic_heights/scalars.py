@@ -1,12 +1,13 @@
 """What every layer shares: the scalar coercions (exact Fractions for ints
 and rational strings, finite floats passed through by _num or converted
-exactly by _to_fraction), and Frozen, the one base of the read-only value
-classes (divisors, places, profiles and their pieces, duals, measures,
-constraints, cells and vectors)."""
+exactly by _to_fraction), the exact-ratio kernel of the profile layers,
+and Frozen, the one base of the read-only value classes (divisors, places,
+profiles and their pieces, duals, measures, constraints, cells and vectors)."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import attrgetter
 
@@ -39,6 +40,102 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     return Fraction(_num(x))
+
+
+# The exact-ratio kernel, the one place in the profile layers that reads a
+# Fraction's integer ratio. A Term is a value on its way into a result: an
+# unreduced integer ratio (numerator, positive denominator), or a float.
+Term = tuple[int, int] | float
+
+
+def _affine_ratio(line, u) -> Term:
+    """line.slope*u + line.intercept (a line: an affine piece of a profile or
+    a dual): a ratio when all three are Fractions, else by operators."""
+    s, c = line.slope, line.intercept
+    if isinstance(s, Fraction) and isinstance(c, Fraction) and isinstance(u, Fraction):
+        sn, sd = s.as_integer_ratio()
+        cn, cd = c.as_integer_ratio()
+        un, ud = u.as_integer_ratio()
+        return sn * un * cd + cn * sd * ud, sd * ud * cd
+    return s * u + c
+
+
+def _add_twice_integral(total: tuple[int, int], line, a, b) -> tuple[int, int] | None:
+    """total plus twice the line's integral over [a, b], unreduced (a gcd per
+    piece of one dual costs more than it saves); None once any is a float."""
+    s, c = line.slope, line.intercept
+    if not (isinstance(s, Fraction) and isinstance(c, Fraction)):
+        return None
+    if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+        return None
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    sn, sd = s.as_integer_ratio()
+    cn, cd = c.as_integer_ratio()
+    n = (bn * ad - an * bd) * (sn * (an * bd + bn * ad) * cd + 2 * cn * sd * ad * bd)
+    d = (ad * bd) ** 2 * sd * cd
+    return total[0] * d + n * total[1], total[1] * d
+
+
+def _above(x, y) -> bool:
+    """x > y: exactly on Fractions, and at face value in floats once either
+    is a float (the derivative of an alpha piece, or float input)."""
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        return xn * yd > yn * xd
+    return _float_of(x) > _float_of(y)
+
+
+def _increasing(xs: Iterable) -> bool:
+    """xs strictly increase, decided on their integer ratios: a float's is
+    exact too, so the order is exact on Fractions and floats alike."""
+    n0, d0 = -1, 0  # -1/0, below every ratio
+    for x in xs:
+        n, d = x.as_integer_ratio()
+        if n0 * d >= n * d0:
+            return False
+        n0, d0 = n, d
+    return True
+
+
+def _negated(term: Term) -> Term:
+    return (-term[0], term[1]) if type(term) is tuple else -term
+
+
+def _read(term: Term) -> Fraction | float:
+    """A term as a number: one Fraction for an integer ratio."""
+    return Fraction(*term) if type(term) is tuple else term
+
+
+def _float_of(x: Term | Fraction) -> float:
+    """A term or a Fraction as a float: int / int, as float() of a Fraction, faster."""
+    if isinstance(x, float):
+        return float(x)
+    n, d = x if type(x) is tuple else x.as_integer_ratio()
+    return n / d
+
+
+def _ratio_sum(terms: Iterable[Term]) -> Term:
+    """sum(map(_read, terms), Fraction(0)), building no Fraction.
+
+    While every term is exact the sum is one integer ratio: each term is
+    reduced once, as a reduction per addition would not keep a sum over
+    places smaller. From the first float term on it is the float sum in
+    the same order, each ratio rounded once, bit for bit the float the
+    Fraction sum gives."""
+    num, den = 0, 1
+    terms = iter(terms)
+    for term in terms:
+        if type(term) is not tuple:
+            total = num / den + term
+            for term in terms:
+                total += term[0] / term[1] if type(term) is tuple else term
+            return total
+        n, d = term
+        g = math.gcd(n, d)
+        num, den = num * (d // g) + (n // g) * den, den * (d // g)
+    return num, den
 
 
 class Frozen:

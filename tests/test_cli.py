@@ -178,6 +178,17 @@ class TestExampleAlpha:
         _, out2, _ = run(capsys, "example-alpha", "--alpha", "1/10")
         assert out1 == out2
 
+    @pytest.mark.parametrize("alpha", ["1e-310", "1e-330"])
+    def test_alpha_below_float_range(self, capsys, alpha):
+        # 1/alpha is no float: refused where the alpha piece takes its
+        # floats, as an arithmetic limit, before any height is computed
+        psi = with_params(ALPHA_PSI, alpha=alpha)
+        psi["pieces"][1]["params"]["intercept"] = 1
+        for argv in (("example-alpha", "--alpha", alpha), ("ma", "--input", json.dumps(psi))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err == "error: alpha below float range: 1/alpha exceeds the largest float\n"
+
 
 class TestAlphaAfterTheHead:
     def test_cutoff_height_and_endpoints(self, capsys):
@@ -537,6 +548,25 @@ class TestPlot:
         assert len(roof_rows) == 3
         assert roof_rows[-1] == f"roof,{float(F(b)):.12g},0"
 
+    def test_default_grid(self, capsys):
+        code, out, err = run(capsys, "plot", "--input", json.dumps(ALPHA_FAMILY))
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        for series in ("psi:canonical", "psi:2", "roof"):
+            xs = [float(x) for label, x, _ in rows if label == series]
+            assert len(xs) == cli.DEFAULT_GRID_POINTS
+            if series != "roof":
+                assert (xs[0], xs[-1]) == (-10.0, 10.0)
+
+    def test_degree_zero_roof_is_one_row(self, capsys):
+        # a + b = 0: the canonical profile is one line, its dual a point
+        fam = {"divisor": {"a": 1, "b": -1}, "exceptions": []}
+        code, out, err = run(capsys, "plot", "--input", json.dumps(fam), "--grid=0:1:3")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[1:4] == ["psi:canonical,0,0", "psi:canonical,0.5,-0.5", "psi:canonical,1,-1"]
+        assert lines[4:] == ["roof,-1,0"]
+
     def test_plot_to_file(self, capsys, tmp_path):
         target = tmp_path / "plot.csv"
         code, out, _ = run(
@@ -628,6 +658,85 @@ class TestInputRobustness:
         if argv in IO_ERRORS:
             assert err.startswith(("error: cannot read input ", "error: cannot write output "))
             assert err.count("\n") == 1
+
+
+def _without(obj, *path):
+    """A copy of the JSON value with the field at path removed."""
+    out = json.loads(json.dumps(obj))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    return out
+
+
+def _with(obj, value, *path):
+    """A copy of the JSON value with the field at path set to value."""
+    out = json.loads(json.dumps(obj))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+# (subcommand, --input value, the whole error message): one case for each
+# way a profile, a place or a family can fail its JSON schema
+SCHEMA_ERRORS = {
+    "profile-not-object": ("ma", [RAMP], "concave function must be a JSON object"),
+    "profile-missing-field": (
+        "ma", _without(RAMP, "slope_pos"), "concave function is missing 'slope_pos'"
+    ),
+    "empty-pieces": ("ma", _with(RAMP, [], "pieces"), "pieces must be a non-empty array"),
+    "piece-not-object": ("ma", _with(RAMP, 0, "pieces", 1), "each piece must be a JSON object"),
+    "first-end": ("ma", _with(RAMP, -1, "pieces", 0, "from"), "first piece must start at '-inf'"),
+    "last-end": ("ma", _with(RAMP, 1, "pieces", 1, "to"), "last piece must end at '+inf'"),
+    "params-not-object": (
+        "ma", _with(RAMP, [1, 0], "pieces", 0, "params"), "piece params must be a JSON object"
+    ),
+    "unknown-kind": ("ma", _with(RAMP, "cubic", "pieces", 0, "kind"), "unknown piece kind 'cubic'"),
+    "missing-param": (
+        "ma", _without(RAMP, "pieces", 0, "params", "intercept"), "piece params missing 'intercept'"
+    ),
+    "bad-place": (
+        "height",
+        _with(family_of(RAMP), "two", "exceptions", 0, "place"),
+        "place must be 'inf' or a prime, got 'two'",
+    ),
+    "duplicate-place": (
+        "height",
+        _with(family_of(RAMP), [{"place": 2, "psi": RAMP}] * 2, "exceptions"),
+        "duplicate exception at Place(2)",
+    ),
+    "exception-without-psi": (
+        "height",
+        _without(family_of(RAMP), "exceptions", 0, "psi"),
+        "each exception needs place and psi fields",
+    ),
+    "family-not-object": ("height", "family", "family must be a JSON object"),
+    "divisor-missing-field": (
+        "height", _without(CANONICAL, "divisor", "b"), "family needs a divisor with fields a and b"
+    ),
+    "strict-not-boolean": ("height", _with(CANONICAL, 1, "strict"), "strict must be a boolean"),
+}
+
+
+class TestSchemaErrors:
+    @pytest.mark.parametrize("case", sorted(SCHEMA_ERRORS))
+    def test_each_branch_exits_2_with_its_message(self, capsys, case):
+        sub, value, message = SCHEMA_ERRORS[case]
+        code, out, err = run(capsys, sub, "--input", json.dumps(value))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_json_integer_beyond_the_digit_limit_is_malformed_input(self, capsys):
+        # 5001 digits: past the digit limit for reading a Python int
+        digits = "9" * 5001
+        text = f'{{"divisor": {{"a": 0, "b": {digits}}}}}'
+        code, out, err = run(capsys, "height", "--input", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input is not valid JSON: ") and err.count("\n") == 1
+        # as the argument of product-formula the same number is refused alike
+        assert run(capsys, "product-formula", digits)[0] == 2
 
 
 class TestPlumbing:

@@ -2,13 +2,18 @@
 equality and hashing over their fields, the normalisation each
 constructor applies, and the star-import surface of each layer."""
 
+import ast
 import copy
 import importlib
 import pickle
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adelic_heights import scalars
 from adelic_heights.adelic_curve import (
     AdelicFamily,
     LogLinear,
@@ -35,7 +40,17 @@ from adelic_heights.convex_calculus import (
     monge_ampere,
 )
 from adelic_heights.divisorial_core import Cell, Constraint, RationalVector
-from adelic_heights.scalars import Frozen
+from adelic_heights.scalars import (
+    Frozen,
+    _above,
+    _add_twice_integral,
+    _affine_ratio,
+    _float_of,
+    _increasing,
+    _negated,
+    _ratio_sum,
+    _read,
+)
 
 DIVISOR = ToricCompactifiedDivisor(0, 1)
 
@@ -111,6 +126,84 @@ def test_one_base_holds_the_value_rules():
         rules = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__"}
         own = rules & set(vars(cls))
         assert own == ({"__hash__"} if cls is LogLinear else set()), cls.__name__
+
+
+def test_one_kernel_holds_the_ratio_format():
+    # integer ratios are read only in scalars; the profile layers call the
+    # kernel, and the family reaches it without duality's private names
+    package = Path(scalars.__file__).parent
+    for layer in ("convex_calculus", "adelic_curve"):
+        for module in sorted((package / layer).glob("*.py")):
+            assert "as_integer_ratio" not in module.read_text(), module.name
+    tree = ast.parse((package / "adelic_curve" / "family.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.endswith("duality"):
+            assert not [a.name for a in node.names if a.name.startswith("_")]
+
+
+# Mixed kernel inputs: Fractions and floats, negatives and zeros among them
+# (-0.0 too), and floats that equal a Fraction drawn beside them.
+FRACTIONS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+NUMBERS = st.one_of(
+    FRACTIONS, FLOATS, st.sampled_from([F(0), F(-1, 3), 0.0, -0.0, 0.5, F(1, 2)])
+)
+# an unreduced ratio (a common factor kept), or a float
+TERMS = st.one_of(
+    st.tuples(
+        st.integers(-10**9, 10**9), st.integers(1, 10**6), st.integers(1, 99)
+    ).map(lambda t: (t[0] * t[2], t[1] * t[2])),
+    FLOATS,
+)
+
+
+def _same(got, expected) -> bool:
+    """Equal and of one type; floats bit for bit, the sign of zero too."""
+    return type(got) is type(expected) and repr(got) == repr(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NUMBERS, NUMBERS)
+def test_above_agrees_with_the_operators(x, y):
+    exact = isinstance(x, F) and isinstance(y, F)
+    assert _above(x, y) == (x > y if exact else float(x) > float(y))
+    assert _same(_float_of(x), float(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NUMBERS, max_size=6), st.data())
+def test_the_order_check_agrees_with_fractions(xs, data):
+    if xs:  # an equal neighbour, of either type, at a drawn place
+        i = data.draw(st.integers(0, len(xs) - 1))
+        twin = data.draw(st.sampled_from([xs[i], F(xs[i]), float(xs[i])]))
+        if data.draw(st.booleans()):
+            xs.insert(i + 1, twin)
+    exact = [F(x) for x in xs]
+    assert _increasing(xs) == all(a < b for a, b in zip(exact, exact[1:]))
+    assert _increasing(sorted(set(exact)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(NUMBERS, NUMBERS, NUMBERS, NUMBERS)
+def test_affine_terms_agree_with_the_operators(s, c, a, b):
+    line = AffinePiece(s, c)
+    value = line.slope * a + line.intercept
+    term = _affine_ratio(line, a)
+    assert _same(_read(term), value)
+    assert _same(_read(_negated(term)), -value)
+    assert _same(_float_of(term), float(value))
+    total = _add_twice_integral((-3, 4), line, a, b)
+    if all(isinstance(x, F) for x in (line.slope, line.intercept, a, b)):
+        twice = (b - a) * (line.slope * (a + b) + 2 * line.intercept)
+        assert _read(total) == F(-3, 4) + twice
+    else:
+        assert total is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(TERMS, max_size=8))
+def test_ratio_sums_agree_with_the_fraction_sum(terms):
+    assert _same(_read(_ratio_sum(terms)), sum(map(_read, terms), F(0)))
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -303,6 +396,25 @@ class TestDerivedSlots:
                 assert repr(piece.derivative(u)) == repr(slope_at)
             assert piece.__reduce__() == (AlphaPiece, (piece.alpha, piece.slope, piece.intercept))
             assert "_floats" not in repr(piece)
+
+    @pytest.mark.parametrize("alpha", [F(1, 4), F(10**17 - 1, 10**17), 0.3])
+    def test_one_minus_alpha_is_taken_once_for_measure_and_dual(self, alpha):
+        # float(1 - alpha) on the exact alpha: nonzero even where
+        # float(alpha) is 1.0; the measure and the dual read the same float
+        piece = AlphaPiece(alpha, 1, 0)
+        b = float(1 - F(alpha))
+        assert piece._floats[4] == b > 0
+        f = ConcaveFn([0], [piece, AffinePiece(0, piece.value(0))])
+        (density,) = monge_ampere(f).densities
+        assert (density.coeff, density.exponent) == (b, -1.0 - b)
+        (term,) = legendre_dual(f).pieces[-1].terms
+        a = float(alpha)
+        assert (term.coeff, term.exponent) == (-b / a, -a / b)
+
+    @pytest.mark.parametrize("alpha", [F(1, 10**310), F(1, 10**330), 1e-310])
+    def test_an_alpha_below_float_range_is_refused_when_built(self, alpha):
+        with pytest.raises(OverflowError, match="below float range"):
+            AlphaPiece(alpha, 1, 0)
 
 
 @pytest.mark.parametrize(
