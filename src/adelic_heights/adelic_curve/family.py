@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from ..convex_calculus.duality import DualFn, legendre_dual, sum_duals
 from ..convex_calculus.functions import AffinePiece, ConcaveFn, bounded_above
-from ..scalars import Frozen, _ratio_sum, _read, _to_fraction
+from ..scalars import Frozen, _float_of, _ratio_sum, _read, _to_fraction
 from .places import Place
 
 Real = Fraction | float
@@ -164,11 +164,11 @@ class FloatRangeError(ValueError, OverflowError):
 def _require_float_range(place: Place, psi: ConcaveFn) -> None:
     try:
         for x in psi.breakpoints:
-            float(x)
+            _float_of(x)
         for piece in psi.pieces:
             if isinstance(piece, AffinePiece):  # an alpha piece took its floats when built
-                float(piece.slope)
-                float(piece.intercept)
+                _float_of(piece.slope)
+                _float_of(piece.intercept)
     except OverflowError as exc:
         raise FloatRangeError(
             f"at {place}: exact profile data beyond float range"

@@ -12,7 +12,7 @@ import math
 from collections.abc import Iterator, Mapping
 
 from ..convex_calculus.energy import _require_comparable, local_energy
-from ..scalars import _to_fraction
+from ..scalars import _scaled, _to_fraction
 from .family import (
     NOT_RELATIVELY_NEF,
     S_AMPLE,
@@ -77,13 +77,15 @@ def point_height_exact(family: AdelicFamily, t) -> LogLinear:
         raise ValueError("exact heights need the canonical profile everywhere")
     a, b = family.divisor.a, family.divisor.b
     # archimedean contribution: the sign of -log|t| is the sign of 1 - |t|
-    s = -a if abs(t) <= 1 else b
+    s = -a if abs(t.numerator) <= t.denominator else b
+    # a prime with v = v_p(t) adds v*a (v > 0) or -v*b (v < 0) at its own
+    # place, and v*s as its share of log|t| at infinity
+    up, down = a + s, s - b
     coeffs = {}
     for p, v in sorted(_valuations(t).items()):
-        # this prime's own place, then its share of log|t| at infinity
-        c = (a * v if v >= 0 else -b * v) + s * v
-        if c:
-            coeffs[p] = c
+        w = up if v > 0 else down
+        if w:
+            coeffs[p] = _scaled(w, v)
     return LogLinear._of(coeffs)
 
 

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 
-from ..scalars import Frozen, _to_fraction
+from ..scalars import Frozen, _keyed_sum, _to_fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -258,18 +258,13 @@ class LogLinear(Frozen):
 
     @staticmethod
     def sum(terms: Iterable["LogLinear"]) -> "LogLinear":
-        """The sum of the terms, accumulated into one dict. A coefficient
-        that cancels leaves at once, so the order of the coefficients (and
-        of the float sum in __float__) is that of adding term by term."""
-        out: dict[int, Fraction] = {}
-        for term in terms:
-            for p, c in term.coeffs.items():
-                total = out[p] + c if p in out else c
-                if total:
-                    out[p] = total
-                else:
-                    del out[p]
-        return LogLinear._of(out)
+        """The sum of the terms: each coefficient summed as an integer ratio
+        and made one Fraction. A coefficient that cancels leaves at once,
+        so the order of the coefficients (and of the float sum in
+        __float__) is that of adding term by term."""
+        return LogLinear._of(
+            _keyed_sum(item for term in terms for item in term.coeffs.items())
+        )
 
     def __add__(self, other: "LogLinear") -> "LogLinear":
         return LogLinear.sum((self, other))
@@ -356,18 +351,30 @@ def log_abs(q, place: Place) -> LogLinear:
     return LogLinear._of({place.p: Fraction(-v)} if v else {})
 
 
+def _local_terms(q) -> Iterator[tuple[int | None, Iterable[tuple[int, int]]]]:
+    """(p, log|q|_p) at each prime p of the support, in increasing order,
+    then (None, log|q| at infinity): every nonzero contribution, each as
+    (prime, integer coefficient of its log) items."""
+    vals = _valuations(_to_fraction(q))
+    for p in sorted(vals):
+        yield p, ((p, -vals[p]),)
+    yield None, vals.items()
+
+
 def log_abs_by_place(q) -> Iterator[tuple[Place, LogLinear]]:
     """(place, log|q| there) at each finite place of the support, in
     increasing order, then at infinity: every nonzero contribution."""
-    vals = _valuations(_to_fraction(q))
-    for p in sorted(vals):
-        yield Place._proven(p), LogLinear._of({p: Fraction(-vals[p])})
-    yield Place.infinity(), LogLinear._of({p: Fraction(v) for p, v in vals.items()})
+    for p, items in _local_terms(q):
+        place = Place.infinity() if p is None else Place._proven(p)
+        yield place, LogLinear._of({k: Fraction(v) for k, v in items})
 
 
 def product_formula_check(q) -> LogLinear:
     """Sum of log|q| over all places with nonzero contribution.
 
     Returns the exact symbolic total; it is the zero combination for every
-    nonzero rational."""
-    return LogLinear.sum(term for _, term in log_abs_by_place(q))
+    nonzero rational. The integer coefficients are summed as they are, so
+    a Fraction is built only for a coefficient that survives."""
+    return LogLinear._of(
+        _keyed_sum(item for _, items in _local_terms(q) for item in items)
+    )

@@ -314,8 +314,9 @@ def load_input(raw: str | None):
         try:
             with open(raw, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read input {raw}: {exc.strerror or exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
+            reason = getattr(exc, "strerror", None) or exc
+            raise SchemaError(f"cannot read input {raw}: {reason}") from exc
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to read

@@ -152,19 +152,19 @@ def cell_has_nonzero_point(cell: Cell, dim: int) -> bool:
     return False
 
 
-def _delta_inf(rows) -> Fraction | None:
+def _delta_inf(rows) -> tuple[int, int] | None:
     """Infimum of the delta >= 0 with base + delta*rate >= 0 (> 0 when
-    strict) for every (base, rate, strict) row; None when there is none.
+    strict) for every (base, rate, strict) row, where base and rate are
+    integer ratios (numerator, positive denominator); None when there is
+    none.
 
     Each bound -base/rate is kept as an integer numerator over a positive
     denominator and compared by cross-multiplication; the upper bound
     starts at +infinity as 1/0, below which every bound compares. The
-    infimum is made a Fraction once."""
+    infimum is returned as such a ratio, not reduced."""
     lo_n, lo_d, lo_strict = 0, 1, False
     hi_n, hi_d, hi_strict = 1, 0, False
-    for base, rate, strict in rows:
-        bn, bd = base.as_integer_ratio()
-        rn, rd = rate.as_integer_ratio()
+    for (bn, bd), (rn, rd), strict in rows:
         if rn == 0:
             if not (bn > 0 if strict else bn >= 0):
                 return None
@@ -184,7 +184,7 @@ def _delta_inf(rows) -> Fraction | None:
     cmp = hi_n * lo_d - lo_n * hi_d  # sign of hi - lo
     if cmp < 0 or (cmp == 0 and (lo_strict or hi_strict)):
         return None
-    return Fraction(lo_n, lo_d)
+    return lo_n, lo_d
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +346,8 @@ def d_b(
     d_b(x, y) = min(1, inf{delta >= 0 : -delta*b <= x - y <= delta*b}),
     with the infimum of the empty set treated as +infinity. The feasible
     delta-set is a finite union of rational intervals, one per pair of
-    cells, so the infimum is exact.
+    cells, so the infimum is exact. The rows and the minimum stay integer
+    ratios; the distance is made a Fraction once.
     """
     if not space.order_cone.contains(b):
         raise ValueError("gauge b must lie in the order cone")
@@ -355,10 +356,15 @@ def d_b(
     cells = space.order_cone.cells
     # diff + delta*b in N
     plus = [
-        [(c.value(diff), c.value(b), c.strict) for c in cell.constraints]
+        [(c._dot(diff), c._dot(b), c.strict) for c in cell.constraints]
         for cell in cells
     ]
     # delta*b - diff in N
-    minus = [[(-v, w, strict) for v, w, strict in rows] for rows in plus]
-    infs = (_delta_inf(ra + rb) for ra in plus for rb in minus)
-    return min([Fraction(1), *(d for d in infs if d is not None)])
+    minus = [[((-vn, vd), w, strict) for (vn, vd), w, strict in rows] for rows in plus]
+    best_n, best_d = 1, 1
+    for ra in plus:
+        for rb in minus:
+            inf = _delta_inf(ra + rb)
+            if inf is not None and inf[0] * best_d < best_n * inf[1]:
+                best_n, best_d = inf
+    return Fraction(best_n, best_d)

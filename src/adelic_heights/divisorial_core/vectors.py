@@ -22,6 +22,13 @@ class RationalVector(Frozen):
     def __init__(self, coords: Iterable):
         object.__setattr__(self, "coords", tuple(_to_fraction(c) for c in coords))
 
+    @classmethod
+    def _of(cls, coords: Iterable[Fraction]) -> "RationalVector":
+        """The vector of these Fraction coordinates, taken as they are."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "coords", tuple(coords))
+        return v
+
     @property
     def dim(self) -> int:
         return len(self.coords)
@@ -37,18 +44,18 @@ class RationalVector(Frozen):
 
     def __add__(self, other: "RationalVector") -> "RationalVector":
         self._check_dim(other)
-        return RationalVector(a + b for a, b in zip(self.coords, other.coords))
+        return RationalVector._of(a + b for a, b in zip(self.coords, other.coords))
 
     def __sub__(self, other: "RationalVector") -> "RationalVector":
         self._check_dim(other)
-        return RationalVector(a - b for a, b in zip(self.coords, other.coords))
+        return RationalVector._of(a - b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self) -> "RationalVector":
-        return RationalVector(-a for a in self.coords)
+        return RationalVector._of(-a for a in self.coords)
 
     def __mul__(self, s: Scalar) -> "RationalVector":
         s = _to_fraction(s)
-        return RationalVector(s * a for a in self.coords)
+        return RationalVector._of(s * a for a in self.coords)
 
     __rmul__ = __mul__
 

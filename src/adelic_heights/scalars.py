@@ -1,8 +1,9 @@
 """What every layer shares: the scalar coercions (exact Fractions for ints
 and rational strings, finite floats passed through by _num or converted
-exactly by _to_fraction), the exact-ratio kernel of the profile layers,
-and Frozen, the one base of the read-only value classes (divisors, places,
-profiles and their pieces, duals, measures, constraints, cells and vectors)."""
+exactly by _to_fraction), the exact-ratio kernel of the profile layers
+and of the log-linear sums, and Frozen, the one base of the read-only
+value classes (divisors, places, profiles and their pieces, duals,
+measures, constraints, cells and vectors)."""
 
 from __future__ import annotations
 
@@ -42,9 +43,10 @@ def _to_fraction(x) -> Fraction:
     return Fraction(_num(x))
 
 
-# The exact-ratio kernel, the one place in the profile layers that reads a
-# Fraction's integer ratio. A Term is a value on its way into a result: an
-# unreduced integer ratio (numerator, positive denominator), or a float.
+# The exact-ratio kernel, the one place in the profile layers and the
+# rational-point layer that reads a Fraction's integer ratio. A Term is a
+# value on its way into a result: an unreduced integer ratio (numerator,
+# positive denominator), or a float.
 Term = tuple[int, int] | float
 
 
@@ -114,6 +116,36 @@ def _float_of(x: Term | Fraction) -> float:
         return float(x)
     n, d = x if type(x) is tuple else x.as_integer_ratio()
     return n / d
+
+
+def _scaled(x: Fraction, v: int) -> Fraction:
+    """v*x as one Fraction, from x's integer ratio."""
+    n, d = x.as_integer_ratio()
+    return Fraction(v * n, d)
+
+
+def _keyed_sum(items: Iterable[tuple[object, int | Fraction]]) -> dict:
+    """{key: the sum of its values} over (key, int or Fraction) items.
+
+    Each key's sum is an integer ratio over the lcm of its values'
+    denominators, made one reduced Fraction at the end. A key whose sum
+    cancels leaves at once, so the keys come in the order that adding
+    item by item into a dict gives."""
+    out: dict = {}
+    for key, x in items:
+        n, d = x.as_integer_ratio()
+        if key in out:
+            n0, d0 = out[key]
+            if d0 == d:
+                n += n0
+            else:
+                g = math.gcd(d0, d)
+                n, d = n0 * (d // g) + n * (d0 // g), d0 // g * d
+        if n:
+            out[key] = n, d
+        else:
+            out.pop(key, None)
+    return {key: Fraction(n, d) for key, (n, d) in out.items()}
 
 
 def _ratio_sum(terms: Iterable[Term]) -> Term:

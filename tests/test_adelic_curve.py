@@ -276,6 +276,55 @@ class TestOnePassSums:
             assert total.is_zero()
             assert type(float(total)) is float and float(total) == 0.0
 
+    def test_fraction_operators_do_not_grow_with_the_support(self, monkeypatch):
+        # the local terms are summed and scaled on integer ratios: the
+        # Fraction operators run a fixed number of times per call
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            op = getattr(F, name)
+            monkeypatch.setattr(
+                F, name, lambda x, y, op=op, name=name: calls.append(name) or op(x, y)
+            )
+
+        def count(build):
+            calls.clear()
+            build()
+            return len(calls)
+
+        family = AdelicFamily(ToricCompactifiedDivisor(F(1, 2), F(3, 4)))
+        small = F(12, 5)
+        large = F(2**7 * 3 * 5 * 7**2 * 11 * 13 * 17, 19 * 23**3 * 29 * 31 * 37) * 41 * 43
+        assert large > 1 and len(support(large)) == 14
+        for a, b in ((small, large), (1 / small, 1 / large), (-small, -large)):
+            assert count(lambda: product_formula_check(a)) == 0
+            assert count(lambda: product_formula_check(b)) == 0
+            fixed = count(lambda: point_height_exact(family, a))
+            assert fixed <= 2
+            assert count(lambda: point_height_exact(family, b)) == fixed
+
+    def test_valuations_with_large_exponents(self):
+        q = F(2**100, 3**70)
+        terms = list(places.log_abs_by_place(q))
+        assert [place for place, _ in terms] == [Place.prime(2), Place.prime(3), INF]
+        assert [list(t.coeffs.items()) for _, t in terms] == [
+            [(2, F(-100))],
+            [(3, F(70))],
+            [(2, F(100)), (3, F(-70))],
+        ]
+        assert all(type(c) is F for _, t in terms for c in t.coeffs.values())
+        assert product_formula_check(q).is_zero() and product_formula_check(-1 / q).is_zero()
+        assert log_abs(q, Place.prime(2)).coeffs == {2: F(-100)}
+        for divisor in (hyperplane_divisor(), ToricCompactifiedDivisor(F(1, 3), 2)):
+            for t in (q, 1 / q, -q):
+                got = point_height_exact(AdelicFamily(divisor), t)
+                want = _pairwise_point_height(divisor, t)
+                assert list(got.coeffs.items()) == list(want.coeffs.items())
+                assert all(type(c) is F for c in got.coeffs.values())
+        # |q| < 1: the height of the canonical family is log 3**70
+        assert point_height_exact(canonical_family(), q).coeffs == {3: F(70)}
+        total = LogLinear.sum([LogLinear({2: 100, 3: 70}), LogLinear({2: F(1, 3), 3: -70})])
+        assert list(total.coeffs.items()) == [(2, F(301, 3))]
+
     def test_public_constructors_still_validate(self):
         for bad in (4, 1, 0, -3, 2.0):
             with pytest.raises(ValueError, match="not prime"):
@@ -500,8 +549,9 @@ class TestFamily:
         [
             canonical_fn(hyperplane_divisor()).shift(F(10**400)),
             ConcaveFn([F(10**400)], [AffinePiece(1, 0), AffinePiece(0, F(10**400))]),
+            ConcaveFn([0], [AffinePiece(F(10**400, 3), 0), AffinePiece(0, 0)]),
         ],
-        ids=["intercept", "breakpoint"],
+        ids=["intercept", "breakpoint", "slope"],
     )
     def test_exact_data_beyond_float_range_is_rejected(self, psi):
         with pytest.raises(ValueError, match=r"at Place\(3\): .*float range") as info:

@@ -659,6 +659,14 @@ class TestInputRobustness:
             assert err.startswith(("error: cannot read input ", "error: cannot write output "))
             assert err.count("\n") == 1
 
+    def test_input_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_bytes(b'{"divisor": {"a": 0, "b": 1}} \xff')
+        got, out, err = run(capsys, "height", "--input", str(path))
+        assert (got, out) == (2, "")
+        assert err.startswith(f"error: cannot read input {path}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
 
 def _without(obj, *path):
     """A copy of the JSON value with the field at path removed."""

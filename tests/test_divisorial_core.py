@@ -242,17 +242,23 @@ class TestOrderMetric:
     def test_chebyshev_formula(self):
         sp = standard_space()
         b = V([1, 1])
-        assert d_b(sp, b, V([0, 0]), V([F(1, 3), F(-1, 5)])) == F(1, 3)
-        assert d_b(sp, b, V([2, 7]), V([2, 7])) == 0
-        assert d_b(sp, b, V([0, 0]), V([5, 0])) == 1  # capped
+        for x, y, want in (
+            (V([0, 0]), V([F(1, 3), F(-1, 5)]), F(1, 3)),
+            (V([2, 7]), V([2, 7]), 0),
+            (V([0, 0]), V([5, 0]), 1),  # capped
+        ):
+            got = d_b(sp, b, x, y)
+            assert type(got) is F and got == want
 
     def test_unreachable_direction_gives_cap(self):
         sp = standard_space()
-        assert d_b(sp, V([1, 0]), V([0, 1]), V([0, 0])) == 1
+        got = d_b(sp, V([1, 0]), V([0, 1]), V([0, 0]))
+        assert type(got) is F and got == 1
 
     def test_degenerate_distance_on_half_open_cone(self):
         sp = DivisorialSpace(2, half_open_cone())
         dist = d_b(sp, V([1, 0]), V([0, 1]), V([0, 0]))
+        assert type(dist) is F
         assert dist == 0  # distinct points at distance zero: pseudo-metric only
 
     def test_gauge_must_be_in_cone(self):
@@ -427,9 +433,20 @@ class TestExactKernels:
     @example([(F(-1), F(-1), False)])
     @settings(max_examples=300, deadline=None)
     def test_delta_inf_matches_the_fraction_oracle(self, rows):
-        got = cones._delta_inf(rows)
-        assert got == _oracle_delta_inf(rows)
-        assert got is None or type(got) is Fraction
+        want = _oracle_delta_inf(rows)
+        # the same rows as integer ratios, reduced and with a common factor
+        for k in (1, 6):
+            pairs = [
+                ((k * b.numerator, k * b.denominator), (k * r.numerator, k * r.denominator), s)
+                for b, r, s in rows
+            ]
+            got = cones._delta_inf(pairs)
+            if want is None:
+                assert got is None
+            else:
+                n, d = got
+                assert type(n) is int and type(d) is int and d > 0
+                assert Fraction(n, d) == want
 
     @given(rows_and_vectors(), st.booleans())
     @settings(max_examples=200, deadline=None)
