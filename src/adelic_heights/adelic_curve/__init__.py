@@ -1,54 +1,31 @@
 """Compactified divisors on the rational projective line: places, slope
 families, roof functions, heights, and energies summed over places."""
 
-from .places import (
-    Place,
-    LogLinear,
-    abs_value,
-    log_abs,
-    support,
-    product_formula_check,
-)
-from .family import (
-    ToricCompactifiedDivisor,
-    AdelicFamily,
-    RoofFunction,
-    NefStatus,
-    canonical_fn,
-    strongly_nef_local_check,
-)
-from .heights import (
-    roof,
-    global_height,
-    point_height,
-    point_height_exact,
-    boundary_height,
-    global_energy,
-    extended_height,
-    nef_status,
-    twist,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "Place",
-    "LogLinear",
-    "abs_value",
-    "log_abs",
-    "support",
-    "product_formula_check",
-    "ToricCompactifiedDivisor",
-    "AdelicFamily",
-    "canonical_fn",
-    "strongly_nef_local_check",
-    "RoofFunction",
-    "NefStatus",
-    "roof",
-    "global_height",
-    "point_height",
-    "point_height_exact",
-    "boundary_height",
-    "global_energy",
-    "extended_height",
-    "nef_status",
-    "twist",
-]
+# each export and its home submodule, loaded on first use
+_EXPORTS = {
+    "Place": "places",
+    "LogLinear": "places",
+    "abs_value": "places",
+    "log_abs": "places",
+    "support": "places",
+    "product_formula_check": "places",
+    "ToricCompactifiedDivisor": "family",
+    "AdelicFamily": "family",
+    "canonical_fn": "family",
+    "strongly_nef_local_check": "family",
+    "RoofFunction": "family",
+    "NefStatus": "family",
+    "roof": "heights",
+    "global_height": "heights",
+    "point_height": "heights",
+    "point_height_exact": "heights",
+    "boundary_height": "heights",
+    "global_energy": "heights",
+    "extended_height": "heights",
+    "nef_status": "heights",
+    "twist": "heights",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

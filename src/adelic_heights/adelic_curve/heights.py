@@ -3,7 +3,9 @@
 Everything global here is a finite sum over places: the canonical profile
 contributes zero to duals and energies, so only the exceptional table and
 the support of the evaluation point ever enter a computation. The roof
-route reads the one `RoofFunction` each family builds (family.py).
+route reads the one `RoofFunction` each family builds (family.py); the
+energy route imports the energy pairing inside its two functions, so the
+roof route loads no curvature measures.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 
-from ..convex_calculus.energy import _require_comparable, local_energy
 from ..scalars import _scaled, _to_fraction
 from .family import (
     NOT_RELATIVELY_NEF,
@@ -127,6 +128,8 @@ def place_energies(
 
     The second family must be at most as singular as the first allows:
     at every place sup(psi_ref - psi_sing) must be finite."""
+    from ..convex_calculus.energy import local_energy
+
     for place, psi, phi in _unequal_places(ref, sing):
         yield place, _at_place(place, local_energy, psi, phi)
 
@@ -135,6 +138,8 @@ def global_energy(ref: AdelicFamily, sing: AdelicFamily) -> Real:
     """Sum of the place energies, finite or -inf, and exact on
     piecewise-affine rational data. Places after the first -inf only have
     the precondition checked, so place order is irrelevant."""
+    from ..convex_calculus.energy import _require_comparable, local_energy
+
     total = 0
     for place, psi, phi in _unequal_places(ref, sing):
         if total == -math.inf:

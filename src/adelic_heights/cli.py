@@ -1,6 +1,10 @@
 """Command-line front end: parse families and profiles from JSON, run the
 height/energy/duality machinery, and emit JSON or CSV reports.
 
+Each handler imports the layers it computes with once its input is read,
+so a subcommand compiles only the modules it runs, and an input refused
+early compiles none.
+
 Exit codes: 0 success (-inf is a value, not an error), 2 malformed input
 (non-finite numbers included), an unreadable --input or an unwritable
 --out, 3 precondition violation or arithmetic failure, 4 positive
@@ -17,27 +21,7 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .adelic_curve.family import (
-    AdelicFamily,
-    ToricCompactifiedDivisor,
-    canonical_fn,
-)
-from .adelic_curve.heights import (
-    extended_height,
-    global_height,
-    nef_status,
-    place_energies,
-    roof,
-)
-from .adelic_curve.places import LogLinear, Place, log_abs_by_place
-from .convex_calculus.duality import DualFn
-from .convex_calculus.functions import AffinePiece, AlphaPiece, ConcaveFn
-from .convex_calculus.measures import (
-    Measure1D,
-    PositiveDivergenceError,
-    monge_ampere,
-)
-from .scalars import _num, _to_fraction
+from .scalars import PositiveDivergenceError, _num, _to_fraction
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -94,6 +78,8 @@ def encode_log_linear(x: LogLinear) -> dict[str, int | float | str]:
 
 
 def encode_concave_fn(f: ConcaveFn) -> dict:
+    from .convex_calculus.functions import AlphaPiece
+
     pieces = []
     for lo, hi, piece in f.intervals():
         if isinstance(piece, AlphaPiece):
@@ -125,6 +111,8 @@ def encode_concave_fn(f: ConcaveFn) -> dict:
 
 
 def decode_concave_fn(obj) -> ConcaveFn:
+    from .convex_calculus.functions import AffinePiece, AlphaPiece, ConcaveFn
+
     if not isinstance(obj, dict):
         raise SchemaError("concave function must be a JSON object")
     for field in ("slope_neg", "slope_pos", "pieces"):
@@ -188,6 +176,8 @@ def decode_concave_fn(obj) -> ConcaveFn:
 
 
 def decode_place(value) -> Place:
+    from .adelic_curve.places import Place
+
     if value == "inf":
         return Place.infinity()
     if isinstance(value, int) and not isinstance(value, bool):
@@ -216,6 +206,8 @@ def encode_family(fam: AdelicFamily) -> dict:
 
 
 def decode_family(obj) -> AdelicFamily:
+    from .adelic_curve.family import AdelicFamily, ToricCompactifiedDivisor
+
     if not isinstance(obj, dict):
         raise SchemaError("family must be a JSON object")
     divisor = obj.get("divisor")
@@ -354,7 +346,10 @@ def grid_points(lo: float, hi: float, count: int) -> list[float]:
 
 
 def cmd_height(args) -> dict:
-    theta = roof(decode_family(load_input(args.input)))
+    fam = decode_family(load_input(args.input))
+    from .adelic_curve.heights import roof
+
+    theta = roof(fam)
     status = theta.nef_status()
     return {
         "height": encode_number(theta.height()),
@@ -370,6 +365,8 @@ def cmd_energy(args) -> dict:
         raise SchemaError("energy input needs reference and singular families")
     ref = decode_family(obj["reference"])
     sing = decode_family(obj["singular"])
+    from .adelic_curve.heights import place_energies
+
     terms = list(place_energies(ref, sing))
     return {
         "energy": encode_number(sum(e for _, e in terms)),
@@ -381,9 +378,9 @@ def cmd_energy(args) -> dict:
 
 
 def cmd_dual(args) -> dict:
+    fn = decode_concave_fn(load_input(args.input))
     from .convex_calculus.duality import legendre_dual
 
-    fn = decode_concave_fn(load_input(args.input))
     dual = legendre_dual(fn)
     if args.grid:
         lo, hi, count = parse_grid(args.grid)
@@ -402,11 +399,15 @@ def cmd_dual(args) -> dict:
 
 def cmd_ma(args) -> dict:
     fn = decode_concave_fn(load_input(args.input))
+    from .convex_calculus.measures import monge_ampere
+
     return encode_measure(monge_ampere(fn))
 
 
 def cmd_nef_check(args) -> dict:
     fam = decode_family(load_input(args.input))
+    from .adelic_curve.heights import nef_status
+
     status = nef_status(fam)
     return {
         "status": status.status,
@@ -420,6 +421,8 @@ def cmd_product_formula(args) -> dict:
     q = _decode_finite(args.rational)
     if q == 0:
         raise ValueError("the product formula needs a nonzero rational")
+    from .adelic_curve.places import LogLinear, log_abs_by_place
+
     terms = list(log_abs_by_place(q))
     total = LogLinear.sum(term for _, term in terms)
     return {
@@ -434,6 +437,8 @@ def cmd_product_formula(args) -> dict:
 
 
 def alpha_profile(alpha: Fraction) -> ConcaveFn:
+    from .convex_calculus.functions import AffinePiece, AlphaPiece, ConcaveFn
+
     return ConcaveFn([0], [AlphaPiece(alpha, 1, 0), AffinePiece(0, 1 / alpha)])
 
 
@@ -441,6 +446,10 @@ def cmd_example_alpha(args) -> dict:
     alpha = _decode_finite(args.alpha)
     if not 0 < alpha < 1:
         raise SchemaError("alpha must lie strictly between 0 and 1")
+    from .adelic_curve.family import AdelicFamily, ToricCompactifiedDivisor
+    from .adelic_curve.heights import extended_height, global_height
+    from .adelic_curve.places import Place
+
     divisor = ToricCompactifiedDivisor(0, 1)
     singular = AdelicFamily(divisor, {Place.infinity(): alpha_profile(alpha)})
     reference = AdelicFamily(divisor)
@@ -476,6 +485,9 @@ def cmd_plot(args) -> list[list[str]]:
         lo, hi, count = parse_grid(args.grid)
     else:
         lo, hi, count = -10.0, 10.0, DEFAULT_GRID_POINTS
+    from .adelic_curve.family import canonical_fn
+    from .adelic_curve.heights import roof
+
     rows = [["series", "x", "y"]]
     series = [("psi:canonical", canonical_fn(fam.divisor))]
     series += [
@@ -495,7 +507,6 @@ def cmd_plot(args) -> list[list[str]]:
 
 
 def cmd_core_demo(args) -> dict:
-    # the one command that needs the divisorial core, so only it loads it
     from .divisorial_core import (
         Cell,
         CompletionElement,

@@ -19,6 +19,7 @@ from operator import itemgetter
 
 from ..scalars import (
     Frozen,
+    PositiveDivergenceError,
     Term,
     _above,
     _add_twice_integral,
@@ -31,7 +32,6 @@ from ..scalars import (
     _to_fraction,
 )
 from .functions import AffinePiece, AlphaPiece, ConcaveFn, Number, _bisect_root
-from .measures import PositiveDivergenceError
 
 
 class PowerTerm(Frozen):

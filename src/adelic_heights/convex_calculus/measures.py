@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from ..scalars import Frozen, _to_fraction
+from ..scalars import Frozen, PositiveDivergenceError, _to_fraction
 from .functions import (
     AlphaPiece,
     ConcaveFn,
@@ -24,10 +24,6 @@ from .functions import (
 
 QUAD_TOL = 1e-9  # agreement of successive double-exponential sums
 _WEAK_TOL = 1e-3  # largest last gap a weak-convergence verdict passes
-
-
-class PositiveDivergenceError(ValueError):
-    """An integral diverges to +infinity; no value can be returned."""
 
 
 class DensityPiece(Frozen):

@@ -1,9 +1,9 @@
 """What every layer shares: the scalar coercions (exact Fractions for ints
 and rational strings, finite floats passed through by _num or converted
 exactly by _to_fraction), the exact-ratio kernel of the profile layers
-and of the log-linear sums, and Frozen, the one base of the read-only
-value classes (divisors, places, profiles and their pieces, duals,
-measures, constraints, cells and vectors)."""
+and of the log-linear sums, the one divergence signal, and Frozen, the
+one base of the read-only value classes (divisors, places, profiles and
+their pieces, duals, measures, constraints, cells and vectors)."""
 
 from __future__ import annotations
 
@@ -41,6 +41,10 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     return Fraction(_num(x))
+
+
+class PositiveDivergenceError(ValueError):
+    """An integral diverges to +infinity; no value can be returned."""
 
 
 # The exact-ratio kernel, the one place in the profile layers and the

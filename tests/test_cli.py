@@ -747,6 +747,67 @@ class TestSchemaErrors:
         assert run(capsys, "product-formula", digits)[0] == 2
 
 
+# The package modules each subcommand loads beyond adelic_heights, its
+# scalars and the CLI: a layer's __init__ loads none of its submodules.
+ROOF_ROUTE = {
+    "adelic_curve",
+    "adelic_curve.places",
+    "adelic_curve.family",
+    "adelic_curve.heights",
+    "convex_calculus",
+    "convex_calculus.functions",
+    "convex_calculus.duality",
+}
+BOTH_ROUTES = ROOF_ROUTE | {"convex_calculus.measures", "convex_calculus.energy"}
+SUBCOMMAND_MODULES = {
+    "height": ROOF_ROUTE,
+    "nef-check": ROOF_ROUTE,
+    "plot": ROOF_ROUTE,
+    "energy": BOTH_ROUTES,
+    "example-alpha": BOTH_ROUTES,
+    "dual": {"convex_calculus", "convex_calculus.functions", "convex_calculus.duality"},
+    "ma": {"convex_calculus", "convex_calculus.functions", "convex_calculus.measures"},
+    "product-formula": {"adelic_curve", "adelic_curve.places"},
+    "core-demo": {
+        "divisorial_core",
+        "divisorial_core.vectors",
+        "divisorial_core.cones",
+        "divisorial_core.completion",
+        "divisorial_core.intersection",
+    },
+}
+
+
+def _package_modules(loaded) -> set[str]:
+    """The adelic_heights modules in `loaded`, named within the package,
+    beyond the package, its scalars and the CLI, which every process loads."""
+    assert {"adelic_heights", "adelic_heights.scalars", "adelic_heights.cli"} <= set(loaded)
+    inside = {m.removeprefix("adelic_heights.") for m in loaded if m.startswith("adelic_heights.")}
+    return inside - {"scalars", "cli"}
+
+
+def _main_in_child(argv):
+    """main(argv) in a fresh interpreter without site: its exit code (a
+    usage error's too), its stderr, and the modules it left loaded."""
+    src_root = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {src_root!r})\n"
+        "from adelic_heights.cli import main\n"
+        "try:\n"
+        f"    code = main({list(argv)!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    *err, last = proc.stderr.splitlines(keepends=True)
+    exit_code, loaded = json.loads(last)
+    return exit_code, "".join(err), loaded
+
+
 class TestPlumbing:
     def test_unknown_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -793,7 +854,8 @@ class TestPlumbing:
             [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
         )
         loaded = proc.stdout.split()
-        assert "adelic_heights.cli" in loaded
+        # the CLI's own import loads no layer: each handler imports its own
+        assert _package_modules(loaded) == set()
         foreign = [
             m
             for m in loaded
@@ -817,28 +879,29 @@ class TestPlumbing:
         ids=lambda argv: argv[0],
     )
     def test_subcommand_loads_only_its_layers(self, argv):
-        """Start-up cost: no subcommand loads dataclasses, inspect or
-        typing, and only core-demo loads the divisorial core's cones,
-        completions and pairings."""
-        src_root = str(Path(cli.__file__).resolve().parents[1])
-        code = (
-            "import json, sys\n"
-            f"sys.path.insert(0, {src_root!r})\n"
-            "from adelic_heights.cli import main\n"
-            f"code = main({list(argv)!r})\n"
-            "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
-        )
-        exit_code, loaded = json.loads(proc.stderr.splitlines()[-1])
+        """Start-up cost: each subcommand loads exactly the package modules
+        it runs, and none loads dataclasses, inspect or typing."""
+        exit_code, _, loaded = _main_in_child(argv)
         assert exit_code == 0
         assert {"dataclasses", "inspect", "typing"}.isdisjoint(loaded)
-        core = {f"adelic_heights.divisorial_core.{m}" for m in ("cones", "completion", "intersection")}
-        if argv[0] == "core-demo":
-            assert core <= set(loaded)
-        else:
-            assert core.isdisjoint(loaded)
+        assert _package_modules(loaded) == SUBCOMMAND_MODULES[argv[0]]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("ma", "--input", "{not json"), 2),
+            (("height", "--input", "{not json"), 2),
+            (("example-alpha", "--alpha", "5"), 2),
+            (("product-formula", "0"), 3),
+            (("core-demo", "--tol=-1"), 2),
+        ],
+        ids=lambda v: v[0] if isinstance(v, tuple) else str(v),
+    )
+    def test_input_refused_early_loads_no_layer(self, argv, expected):
+        exit_code, err, loaded = _main_in_child(argv)
+        assert exit_code == expected
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert _package_modules(loaded) == set()
 
     def test_readme_names_every_option(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,11 +1,14 @@
 """The value classes of every layer: one read-only base for all of them,
 equality and hashing over their fields, the normalisation each
-constructor applies, and the star-import surface of each layer."""
+constructor applies, and the import surface of each layer: its star
+import and its exports loaded on first use."""
 
 import ast
 import copy
 import importlib
 import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -428,3 +431,46 @@ def test_star_import_yields_every_public_name(layer):
     assert module.__all__
     for name in module.__all__:
         assert namespace[name] is getattr(module, name)
+
+
+LAZY_LAYERS = [f"adelic_heights.{name}" for name in ("convex_calculus", "adelic_curve")]
+
+
+@pytest.mark.parametrize("layer", LAZY_LAYERS)
+def test_lazy_layer_resolves_each_export_from_its_home(layer):
+    module = importlib.import_module(layer)
+    assert list(module._EXPORTS) == module.__all__
+    for name, home in module._EXPORTS.items():
+        value = getattr(module, name)
+        home_module = importlib.import_module(f"{layer}.{home}")
+        assert value is getattr(home_module, name)
+        # defined there, not merely imported; the divergence class is shared
+        if value is not scalars.PositiveDivergenceError:
+            assert value.__module__ == home_module.__name__, name
+        assert vars(module)[name] is value  # cached after the first lookup
+    with pytest.raises(AttributeError, match="no_such_export"):
+        module.no_such_export
+    assert not hasattr(module, "no_such_export")
+
+
+def test_importing_a_lazy_layer_loads_none_of_its_submodules():
+    src_root = str(Path(scalars.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src_root!r})\n"
+        f"import {', '.join(LAZY_LAYERS)}\n"
+        "print('\\n'.join(m for m in sys.modules if m.startswith('adelic_heights')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert set(proc.stdout.split()) == {"adelic_heights", *LAZY_LAYERS}
+
+
+def test_one_divergence_class():
+    from adelic_heights import convex_calculus
+    from adelic_heights.convex_calculus import duality, measures
+
+    error = scalars.PositiveDivergenceError
+    assert error is measures.PositiveDivergenceError is convex_calculus.PositiveDivergenceError
+    assert error is duality.PositiveDivergenceError and issubclass(error, ValueError)
