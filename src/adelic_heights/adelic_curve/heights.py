@@ -153,11 +153,9 @@ def extended_height(ref: AdelicFamily, sing: AdelicFamily) -> Real:
     """Height of a possibly singular family through an energy-regularized
     reference: global_height(ref) + global_energy(ref, sing), exact on
     piecewise-affine rational data."""
-    theta = roof(ref) if ref.slope_valid else None
-    if theta is None or theta.nef_status().status not in (S_AMPLE, S_NEF_ONLY):
+    if nef_status(ref).status not in (S_AMPLE, S_NEF_ONLY):
         raise ValueError("reference family is not arithmetically nef")
-    base = theta.height()
-    return base + global_energy(ref, sing)
+    return global_height(ref) + global_energy(ref, sing)
 
 
 def nef_status(family: AdelicFamily) -> NefStatus:

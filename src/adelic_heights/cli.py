@@ -77,32 +77,32 @@ def encode_log_linear(x: LogLinear) -> dict[str, int | float | str]:
     return {str(p): encode_number(c) for p, c in sorted(x.coeffs.items())}
 
 
-def encode_concave_fn(f: ConcaveFn) -> dict:
-    from .convex_calculus.functions import AlphaPiece
+def _piece_kinds() -> dict:
+    """Each piece class of a profile under its JSON "kind"; a piece's
+    "params" are its class's fields, in constructor order."""
+    from .convex_calculus.functions import AffinePiece, AlphaPiece
 
-    pieces = []
-    for lo, hi, piece in f.intervals():
-        if isinstance(piece, AlphaPiece):
-            kind = "alpha_singular"
-            params = {
-                "alpha": encode_number(piece.alpha),
-                "slope": encode_number(piece.slope),
-                "intercept": encode_number(piece.intercept),
-            }
-        else:
-            kind = "affine"
-            params = {
-                "slope": encode_number(piece.slope),
-                "intercept": encode_number(piece.intercept),
-            }
-        pieces.append(
-            {
-                "from": "-inf" if lo is None else encode_number(lo),
-                "to": "+inf" if hi is None else encode_number(hi),
-                "kind": kind,
-                "params": params,
-            }
-        )
+    return {"affine": AffinePiece, "alpha_singular": AlphaPiece}
+
+
+def _encode_fields(value) -> dict:
+    return {name: encode_number(getattr(value, name)) for name in value._names}
+
+
+def _encode_span(lo, hi) -> dict:
+    """The ends of a piece: None is the unbounded "-inf" or "+inf"."""
+    return {
+        "from": "-inf" if lo is None else encode_number(lo),
+        "to": "+inf" if hi is None else encode_number(hi),
+    }
+
+
+def encode_concave_fn(f: ConcaveFn) -> dict:
+    kinds = {cls: kind for kind, cls in _piece_kinds().items()}
+    pieces = [
+        {**_encode_span(lo, hi), "kind": kinds[type(p)], "params": _encode_fields(p)}
+        for lo, hi, p in f.intervals()
+    ]
     return {
         "slope_neg": encode_number(f.slope_neg),
         "slope_pos": encode_number(f.slope_pos),
@@ -111,7 +111,7 @@ def encode_concave_fn(f: ConcaveFn) -> dict:
 
 
 def decode_concave_fn(obj) -> ConcaveFn:
-    from .convex_calculus.functions import AffinePiece, AlphaPiece, ConcaveFn
+    from .convex_calculus.functions import ConcaveFn
 
     if not isinstance(obj, dict):
         raise SchemaError("concave function must be a JSON object")
@@ -121,6 +121,7 @@ def decode_concave_fn(obj) -> ConcaveFn:
     raw_pieces = obj["pieces"]
     if not isinstance(raw_pieces, list) or not raw_pieces:
         raise SchemaError("pieces must be a non-empty array")
+    kinds = _piece_kinds()
     breakpoints: list[Fraction] = []
     pieces = []
     for i, entry in enumerate(raw_pieces):
@@ -140,24 +141,12 @@ def decode_concave_fn(obj) -> ConcaveFn:
         if not isinstance(params, dict):
             raise SchemaError("piece params must be a JSON object")
         kind = entry.get("kind")
+        # a JSON array or object is no kind, and cannot be looked up
+        cls = kinds.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise SchemaError(f"unknown piece kind {kind!r}")
         try:
-            if kind == "affine":
-                pieces.append(
-                    AffinePiece(
-                        decode_number(params["slope"]),
-                        decode_number(params["intercept"]),
-                    )
-                )
-            elif kind == "alpha_singular":
-                pieces.append(
-                    AlphaPiece(
-                        decode_number(params["alpha"]),
-                        decode_number(params["slope"]),
-                        decode_number(params["intercept"]),
-                    )
-                )
-            else:
-                raise SchemaError(f"unknown piece kind {kind!r}")
+            pieces.append(cls(*(decode_number(params[name]) for name in cls._names)))
         except KeyError as exc:
             raise SchemaError(f"piece params missing {exc}") from exc
         except ValueError as exc:
@@ -194,10 +183,7 @@ def encode_place(place: Place) -> int | str:
 
 def encode_family(fam: AdelicFamily) -> dict:
     return {
-        "divisor": {
-            "a": encode_number(fam.divisor.a),
-            "b": encode_number(fam.divisor.b),
-        },
+        "divisor": _encode_fields(fam.divisor),
         "exceptions": [
             {"place": encode_place(place), "psi": encode_concave_fn(psi)}
             for place, psi in fam.exceptions.items()
@@ -251,22 +237,9 @@ def encode_dual_fn(d: DualFn) -> dict:
             "intercept": encode_number(piece.intercept),
         }
         if piece.terms:
-            params["terms"] = [
-                {
-                    "coeff": encode_number(t.coeff),
-                    "exponent": encode_number(t.exponent),
-                    "center": encode_number(t.center),
-                }
-                for t in piece.terms
-            ]
-        pieces.append(
-            {
-                "from": encode_number(lo),
-                "to": encode_number(hi),
-                "kind": "power" if piece.terms else "affine",
-                "params": params,
-            }
-        )
+            params["terms"] = [_encode_fields(t) for t in piece.terms]
+        kind = "power" if piece.terms else "affine"
+        pieces.append({**_encode_span(lo, hi), "kind": kind, "params": params})
     return {
         "lo": encode_number(d.lo),
         "hi": encode_number(d.hi),
@@ -282,14 +255,21 @@ def encode_measure(mu: Measure1D) -> dict:
         ],
         "densities": [
             {
-                "from": "-inf" if p.lo is None else encode_number(p.lo),
-                "to": encode_number(p.hi),
+                **_encode_span(p.lo, p.hi),
                 "coeff": encode_number(p.coeff),
                 "exponent": encode_number(p.exponent),
             }
             for p in mu.densities
         ],
         "total_mass": encode_number(mu.total_mass),
+    }
+
+
+def encode_nef_status(status: NefStatus) -> dict:
+    mu = status.mu_min_asy
+    return {
+        "status": status.status,
+        "mu_min_asy": None if mu is None else encode_number(mu),
     }
 
 
@@ -350,12 +330,11 @@ def cmd_height(args) -> dict:
     from .adelic_curve.heights import roof
 
     theta = roof(fam)
-    status = theta.nef_status()
+    status = encode_nef_status(theta.nef_status())
     return {
         "height": encode_number(theta.height()),
         "roof": encode_dual_fn(theta.dual),
-        "status": status.status,
-        "mu_min_asy": encode_number(status.mu_min_asy),
+        **status,
     }
 
 
@@ -408,29 +387,23 @@ def cmd_nef_check(args) -> dict:
     fam = decode_family(load_input(args.input))
     from .adelic_curve.heights import nef_status
 
-    status = nef_status(fam)
-    return {
-        "status": status.status,
-        "mu_min_asy": None
-        if status.mu_min_asy is None
-        else encode_number(status.mu_min_asy),
-    }
+    return encode_nef_status(nef_status(fam))
 
 
 def cmd_product_formula(args) -> dict:
     q = _decode_finite(args.rational)
     if q == 0:
         raise ValueError("the product formula needs a nonzero rational")
-    from .adelic_curve.places import LogLinear, log_abs_by_place
+    from .adelic_curve.places import log_abs_by_place, product_formula_check
 
-    terms = list(log_abs_by_place(q))
-    total = LogLinear.sum(term for _, term in terms)
+    contributions = [
+        {"place": encode_place(place), "log_abs": encode_log_linear(term)}
+        for place, term in log_abs_by_place(q)
+    ]
+    total = product_formula_check(q)
     return {
         "q": encode_number(q),
-        "contributions": [
-            {"place": encode_place(place), "log_abs": encode_log_linear(term)}
-            for place, term in terms
-        ],
+        "contributions": contributions,
         "total": encode_log_linear(total),
         "result": "0 (exact)" if total.is_zero() else "nonzero",
     }
@@ -598,6 +571,43 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_SCHEMA)
 
 
+# the arguments every subcommand shares, as (name, add_argument options)
+INPUT = ("--input", {"help": "path to a JSON file, or inline JSON"})
+FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json", "dest": "fmt"})
+OUT = ("--out", {"help": "write output to this path"})
+
+# name: (handler, help, its arguments in order)
+SUBCOMMANDS = {
+    "height": (cmd_height, "global height, roof, and nef status", (INPUT, FORMAT, OUT)),
+    "energy": (cmd_energy, "relative energy of two families", (INPUT, FORMAT, OUT)),
+    "dual": (
+        cmd_dual,
+        "concave conjugate with samples",
+        (INPUT, FORMAT, OUT, ("--grid", {"help": "sample grid lo:hi:count"})),
+    ),
+    "ma": (cmd_ma, "second-derivative measure of a profile", (INPUT, FORMAT, OUT)),
+    "nef-check": (cmd_nef_check, "positivity classification", (INPUT, FORMAT, OUT)),
+    "product-formula": (
+        cmd_product_formula,
+        "exact cancellation certificate",
+        (("rational", {"help": "nonzero rational, e.g. 12/5"}), FORMAT, OUT),
+    ),
+    "example-alpha": (
+        cmd_example_alpha,
+        "singular family worked example",
+        (("--alpha", {"required": True, "help": "exponent in (0, 1)"}), FORMAT, OUT),
+    ),
+    "plot": (
+        cmd_plot,
+        "CSV samples of profiles and the roof",
+        (INPUT, FORMAT, OUT, ("--grid", {"help": "profile grid lo:hi:count"})),
+    ),
+    "core-demo": (cmd_core_demo, "order-metric and extension examples", (FORMAT, OUT)),
+}
+
+HANDLERS = {name: handler for name, (handler, _, _) in SUBCOMMANDS.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="adelic-heights",
@@ -605,51 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
         "families on the projective line.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", help="path to a JSON file, or inline JSON")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json", dest="fmt"
-        )
-        p.add_argument("--out", help="write output to this path")
-
-    p = sub.add_parser("height", help="global height, roof, and nef status")
-    common(p)
-    p = sub.add_parser("energy", help="relative energy of two families")
-    common(p)
-    p = sub.add_parser("dual", help="concave conjugate with samples")
-    common(p)
-    p.add_argument("--grid", help="sample grid lo:hi:count")
-    p = sub.add_parser("ma", help="second-derivative measure of a profile")
-    common(p)
-    p = sub.add_parser("nef-check", help="positivity classification")
-    common(p)
-    p = sub.add_parser("product-formula", help="exact cancellation certificate")
-    p.add_argument("rational", help="nonzero rational, e.g. 12/5")
-    common(p, needs_input=False)
-    p = sub.add_parser("example-alpha", help="singular family worked example")
-    p.add_argument("--alpha", required=True, help="exponent in (0, 1)")
-    common(p, needs_input=False)
-    p = sub.add_parser("plot", help="CSV samples of profiles and the roof")
-    common(p)
-    p.add_argument("--grid", help="profile grid lo:hi:count")
-    p = sub.add_parser("core-demo", help="order-metric and extension examples")
-    common(p, needs_input=False)
+    for name, (_, help_text, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
     return parser
-
-
-HANDLERS = {
-    "height": cmd_height,
-    "energy": cmd_energy,
-    "dual": cmd_dual,
-    "ma": cmd_ma,
-    "nef-check": cmd_nef_check,
-    "product-formula": cmd_product_formula,
-    "example-alpha": cmd_example_alpha,
-    "plot": cmd_plot,
-    "core-demo": cmd_core_demo,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -161,15 +161,17 @@ def extend_intersection(
     if not imap.space.order_cone.contains(b_tilde - base.b):
         raise AdmissibilityError("comparison gauge must dominate the common gauge b")
 
-    # stable reference index for estimating the Lipschitz constant
-    n0 = max(int(a.modulus(Fraction(1))) for a in args)
-    terms = [a.sequence(n0) for a in args]
-    for t in terms:
-        if not imap.space.order_cone.contains(t):
+    def nef_terms(n: int) -> list[RationalVector]:
+        terms = [a.sequence(n) for a in args]
+        if not all(map(imap.space.order_cone.contains, terms)):
             raise PositivityError(
                 "sequence term leaves the nef region; the extension bound fails"
             )
-    shifted = [t + b_tilde for t in terms]
+        return terms
+
+    # stable reference index for estimating the Lipschitz constant
+    n0 = max(int(a.modulus(Fraction(1))) for a in args)
+    shifted = [t + b_tilde for t in nef_terms(n0)]
     c_bound = Fraction(1)
     for j in range(imap.arity):
         slot_args = shifted[:j] + [b_tilde] + shifted[j + 1 :]
@@ -177,10 +179,4 @@ def extend_intersection(
 
     delta = min(Fraction(1), eps / (2 * imap.arity * c_bound))
     n = max(int(a.modulus(delta)) for a in args)
-    final = [a.sequence(n) for a in args]
-    for t in final:
-        if not imap.space.order_cone.contains(t):
-            raise PositivityError(
-                "sequence term leaves the nef region; the extension bound fails"
-            )
-    return imap.evaluate(final)
+    return imap.evaluate(nef_terms(n))

@@ -17,6 +17,7 @@ from adelic_heights.convex_calculus.functions import (
     AffinePiece,
     AlphaPiece,
     ConcaveFn,
+    Piece,
     cutoff,
 )
 from adelic_heights.convex_calculus.measures import PositiveDivergenceError
@@ -100,6 +101,26 @@ class TestCodecs:
         ]
         for fn in fns:
             assert cli.decode_concave_fn(cli.encode_concave_fn(fn)) == fn
+
+    def test_piece_kind_table_covers_every_piece_class(self):
+        """One JSON kind for each class of a profile piece, its params the
+        class's fields in order, and a profile of each kind round-trips:
+        a new piece class fails here until the codec names it."""
+        kinds = cli._piece_kinds()
+        assert set(kinds.values()) == set(Piece.__args__)
+        assert len(kinds) == len(Piece.__args__)
+        samples = {
+            AffinePiece: ConcaveFn(
+                [0, 2], [AffinePiece(1, 0), AffinePiece(F(1, 2), 0), AffinePiece(0, 1)]
+            ),
+            AlphaPiece: ConcaveFn([0], [AlphaPiece(F(1, 4), 1, 0), AffinePiece(0, 4)]),
+        }
+        for kind, cls in kinds.items():
+            fn = samples[cls]
+            encoded = cli.encode_concave_fn(fn)
+            params = [p["params"] for p in encoded["pieces"] if p["kind"] == kind]
+            assert params and all(list(p) == list(cls._names) for p in params)
+            assert cli.decode_concave_fn(json.loads(json.dumps(encoded))) == fn
 
     def test_family_round_trip(self):
         fam = AdelicFamily(
@@ -703,6 +724,12 @@ SCHEMA_ERRORS = {
         "ma", _with(RAMP, [1, 0], "pieces", 0, "params"), "piece params must be a JSON object"
     ),
     "unknown-kind": ("ma", _with(RAMP, "cubic", "pieces", 0, "kind"), "unknown piece kind 'cubic'"),
+    "kind-array": (
+        "ma", _with(RAMP, ["affine"], "pieces", 0, "kind"), "unknown piece kind ['affine']"
+    ),
+    "kind-object": (
+        "ma", _with(RAMP, {"affine": 1}, "pieces", 0, "kind"), "unknown piece kind {'affine': 1}"
+    ),
     "missing-param": (
         "ma", _without(RAMP, "pieces", 0, "params", "intercept"), "piece params missing 'intercept'"
     ),
@@ -918,6 +945,16 @@ class TestPlumbing:
             if option.startswith("--") and option != "--help"
         }
         assert documented == parsed
+
+    def test_readme_names_every_subcommand(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        usage = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        documented = re.findall(r"^adelic-heights ([a-z-]+)", usage, re.MULTILINE)
+        (subparsers,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert documented == list(cli.HANDLERS) == list(subparsers.choices)
 
     def test_positive_divergence_exit_code(self, capsys, monkeypatch):
         def explode(args):
