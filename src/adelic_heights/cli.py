@@ -426,12 +426,15 @@ def cmd_example_alpha(args) -> dict:
     divisor = ToricCompactifiedDivisor(0, 1)
     singular = AdelicFamily(divisor, {Place.infinity(): alpha_profile(alpha)})
     reference = AdelicFamily(divisor)
-    if alpha < Fraction(1, 2):
-        closed = (2 - 3 * alpha) / (alpha * (2 * alpha - 1))
-    else:
-        closed = -math.inf
     roof_route = global_height(singular)
     energy_route = extended_height(reference, singular)
+    if alpha < Fraction(1, 2):
+        closed = (2 - 3 * alpha) / (alpha * (2 * alpha - 1))
+        # finite, so never -inf: that value means divergence
+        if math.inf in (abs(roof_route), abs(energy_route)):
+            raise OverflowError("finite height beyond float range")
+    else:
+        closed = -math.inf
     if roof_route == -math.inf and energy_route == -math.inf:
         gap = 0.0
     else:

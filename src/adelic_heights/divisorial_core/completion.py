@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
-from .cones import DivisorialSpace, d_b
+from .cones import DivisorialSpace, _d_b, d_b
 from ..scalars import _to_fraction
 from .vectors import RationalVector
 
@@ -37,11 +37,13 @@ class CompletionElement:
         self._spot_check()
 
     def _spot_check(self) -> None:
+        # __init__ has checked the gauge, so the unchecked core suffices
+        cone = self.space.order_cone
         for eps in _SPOT_EPS:
             n = int(self.modulus(eps))
             here = self.sequence(n)
             for m in (n + 1, 2 * n + 1):
-                if d_b(self.space, self.b, here, self.sequence(m)) > eps:
+                if _d_b(cone, self.b, here, self.sequence(m)) > eps:
                     raise ValueError(
                         f"declared modulus fails: terms {n} and {m} are farther "
                         f"than {eps} apart"

@@ -3,7 +3,7 @@
 A cone is a finite union of cells, each cell a finite conjunction of
 homogeneous linear constraints (strict or non-strict). Membership,
 closure, partial order, the cone axioms and the metric d_b are all decided
-exactly in Fraction arithmetic: the axioms by Fourier-Motzkin elimination,
+exactly, on integer forms: the axioms by Fourier-Motzkin elimination,
 d_b by interval analysis.
 """
 
@@ -13,40 +13,31 @@ import itertools
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from operator import mul
 
-from ..scalars import Frozen, _to_fraction
+from ..scalars import Frozen, _integer_form, _to_fraction
 from .vectors import RationalVector
 
 
 class Constraint(Frozen):
-    """Homogeneous half-space condition row . x >= 0 (or > 0 when strict)."""
+    """Homogeneous half-space condition row . x >= 0 (or > 0 when strict),
+    decided on the row's primitive integer form (a positive multiple)."""
 
-    __slots__ = ("row", "strict")
+    __slots__ = ("row", "strict", "_ints")
 
     def __init__(self, row: Iterable, strict: bool = False):
         object.__setattr__(self, "row", tuple(_to_fraction(c) for c in row))
         object.__setattr__(self, "strict", strict)
-
-    def _dot(self, x: RationalVector) -> tuple[int, int]:
-        """row . x as an integer numerator over a positive denominator,
-        not reduced; zero entries are skipped."""
-        num, den = 0, 1
-        for r, c in zip(self.row, x):
-            if r and c:
-                n = r.numerator * c.numerator
-                d = r.denominator * c.denominator
-                if d == den:
-                    num += n
-                else:
-                    num, den = num * d + n * den, den * d
-        return num, den
+        object.__setattr__(self, "_ints", _primitive(self.row, 0, strict)[0])
 
     def value(self, x: RationalVector) -> Fraction:
-        return Fraction(*self._dot(x))
+        nums, den = _integer_form(self.row)
+        xn, xd = x._ratio()
+        return Fraction(sum(map(mul, nums, xn)), den * xd)
 
     def satisfied(self, x: RationalVector) -> bool:
-        num = self._dot(x)[0]
-        return num > 0 if self.strict else num >= 0
+        dot = sum(map(mul, self._ints, x._ratio()[0]))
+        return dot > 0 if self.strict else dot >= 0
 
 
 class Cell(Frozen):
@@ -72,18 +63,17 @@ class Cell(Frozen):
 
 def _primitive(coeffs: tuple, const, strict: bool) -> tuple:
     """The row scaled by a positive number to coprime integers, so that
-    positively proportional rows become identical."""
-    entries = (*coeffs, const)
-    scale = math.lcm(*(e.denominator for e in entries))
-    ints = [e.numerator * (scale // e.denominator) for e in entries]
-    g = math.gcd(*ints) or 1
-    return tuple(e // g for e in ints[:-1]), ints[-1] // g, strict
-
-
-def _pair_count(rows: list, i: int) -> int:
-    pos = sum(1 for coeffs, _, _ in rows if coeffs[i] > 0)
-    neg = sum(1 for coeffs, _, _ in rows if coeffs[i] < 0)
-    return pos * neg
+    positively proportional rows become identical. An integer row needs
+    only its gcd."""
+    ints = (*coeffs, const)
+    try:
+        g = math.gcd(*ints)
+    except TypeError:  # Fractions: over their common denominator first
+        ints = _integer_form(ints)[0]
+        g = math.gcd(*ints)
+    if g > 1:
+        ints = [e // g for e in ints]
+    return tuple(ints[:-1]), ints[-1], strict
 
 
 def _eliminate(rows: Iterable, variables: Iterable[int]) -> list:
@@ -92,8 +82,9 @@ def _eliminate(rows: Iterable, variables: Iterable[int]) -> list:
 
     Rows are made coprime integers once, on entry or when combined. Each
     step eliminates the variable with the fewest positive x negative row
-    pairs, then drops repeated rows and rows that every point satisfies.
-    A row that no point satisfies is returned alone."""
+    pairs (the first such in the given order; the signs are counted in
+    one pass over the rows), then drops repeated rows and rows that every
+    point satisfies. A row that no point satisfies is returned alone."""
     left = list(variables)
     rows = [_primitive(*row) for row in rows]
     while True:
@@ -105,22 +96,32 @@ def _eliminate(rows: Iterable, variables: Iterable[int]) -> list:
             elif not (const > 0 if strict else const >= 0):
                 return [row]
         rows = list(kept)
-        if not left:
+        if not (left and rows):
             return rows
-        i = min(left, key=lambda j: _pair_count(rows, j))
+        i = left[0]
+        if left[1:]:
+            pos, neg = [0] * len(rows[0][0]), [0] * len(rows[0][0])
+            for coeffs, _, _ in rows:
+                for j, a in enumerate(coeffs):
+                    if a:
+                        (pos if a > 0 else neg)[j] += 1
+            i = min(left, key=lambda j: pos[j] * neg[j])
         left.remove(i)
-        pos = [r for r in rows if r[0][i] > 0]
-        neg = [r for r in rows if r[0][i] < 0]
-        rows = [r for r in rows if r[0][i] == 0]
+        pos, neg, zero = [], [], []
+        for row in rows:
+            a = row[0][i]
+            (pos if a > 0 else neg if a < 0 else zero).append(row)
+        rows = zero
         for cp, bp, sp in pos:
             for cn, bn, sn in neg:
                 # scale so the i-th coefficients cancel; both scales positive
                 lam, mu = -cn[i], cp[i]
                 coeffs = [lam * a + mu * b for a, b in zip(cp, cn)]
                 const = lam * bp + mu * bn
-                g = math.gcd(*coeffs, const) or 1
-                coeffs = tuple(a // g for a in coeffs)
-                rows.append((coeffs, const // g, sp or sn))
+                g = math.gcd(*coeffs, const)
+                if g > 1:
+                    coeffs, const = [a // g for a in coeffs], const // g
+                rows.append((tuple(coeffs), const, sp or sn))
 
 
 def _feasible(rows: Iterable, n: int) -> bool:
@@ -129,7 +130,7 @@ def _feasible(rows: Iterable, n: int) -> bool:
 
 
 def _cell_rows(cell: Cell) -> list:
-    return [(c.row, 0, c.strict) for c in cell.constraints]
+    return [(c._ints, 0, c.strict) for c in cell.constraints]
 
 
 def cell_is_empty(cell: Cell, dim: int) -> bool:
@@ -140,16 +141,16 @@ def cell_is_empty(cell: Cell, dim: int) -> bool:
 def cell_has_nonzero_point(cell: Cell, dim: int) -> bool:
     """Exact test for a solution other than the origin.
 
-    Homogeneity lets us normalise: a nonzero solution exists iff the system
-    plus s*x_i >= 1 is feasible for some coordinate i and sign s.
+    The origin breaks a strict row, so a cell with one has a nonzero
+    solution iff it has any. Otherwise homogeneity lets us normalise: a
+    nonzero solution exists iff the system plus s*x_i >= 1 is feasible for
+    some coordinate i and sign s.
     """
     base = _cell_rows(cell)
-    for i in range(dim):
-        for s in (1, -1):
-            unit = tuple(s if j == i else 0 for j in range(dim))
-            if _feasible(base + [(unit, -1, False)], dim):
-                return True
-    return False
+    if any(c.strict for c in cell.constraints):
+        return _feasible(base, dim)
+    units = (tuple(s * (j == i) for j in range(dim)) for i in range(dim) for s in (1, -1))
+    return any(_feasible(base + [(unit, -1, False)], dim) for unit in units)
 
 
 def _delta_inf(rows) -> tuple[int, int] | None:
@@ -247,11 +248,11 @@ class SemilinearCone:
         pairs = itertools.combinations(enumerate(self.cells), 2)
         for (i, ci), (j, cj) in pairs:
             # x in ci and y in cj, over the variables (x, y)
-            members = [(c.row + zeros, 0, c.strict) for c in ci.constraints]
-            members += [(zeros + c.row, 0, c.strict) for c in cj.constraints]
+            members = [(c._ints + zeros, 0, c.strict) for c in ci.constraints]
+            members += [(zeros + c._ints, 0, c.strict) for c in cj.constraints]
             for broken in itertools.product(*(cell.constraints for cell in self.cells)):
                 # x + y breaks the chosen constraint of every cell
-                escape = [(tuple(-a for a in c.row) * 2, 0, not c.strict) for c in broken]
+                escape = [(tuple(-a for a in c._ints) * 2, 0, not c.strict) for c in broken]
                 if _feasible(members + escape, 2 * n):
                     raise ValueError(
                         f"not a cone: cells {i} and {j} have members whose sum escapes"
@@ -324,7 +325,7 @@ class DivisorialSpace:
     def _check_spans(self) -> None:
         # an all-zero non-strict row holds everywhere; made strict it would not
         for cell in self.order_cone.cells:
-            rows = [(c.row, 0, True) for c in cell.constraints if c.strict or any(c.row)]
+            rows = [(c._ints, 0, True) for c in cell.constraints if c.strict or any(c._ints)]
             if _feasible(rows, self.ambient_dim):
                 return
         raise ValueError("order cone does not span the space: it has no interior point")
@@ -346,19 +347,29 @@ def d_b(
     d_b(x, y) = min(1, inf{delta >= 0 : -delta*b <= x - y <= delta*b}),
     with the infimum of the empty set treated as +infinity. The feasible
     delta-set is a finite union of rational intervals, one per pair of
-    cells, so the infimum is exact. The rows and the minimum stay integer
-    ratios; the distance is made a Fraction once.
+    cells, so the infimum is exact.
     """
     if not space.order_cone.contains(b):
         raise ValueError("gauge b must lie in the order cone")
-    diff = x - y
+    return _d_b(space.order_cone, b, x, y)
 
-    cells = space.order_cone.cells
-    # diff + delta*b in N
-    plus = [
-        [(c._dot(diff), c._dot(b), c.strict) for c in cell.constraints]
-        for cell in cells
-    ]
+
+def _d_b(
+    cone: SemilinearCone, b: RationalVector, x: RationalVector, y: RationalVector
+) -> Fraction:
+    """d_b for a gauge known to lie in the cone, on the integer forms: the
+    positive scale of a constraint's integer row cancels in its bound. The
+    rows and the minimum stay integer ratios; the distance is one Fraction."""
+    if not x.dim == y.dim == cone.ambient_dim:
+        raise ValueError("dimension mismatch")
+    (xn, xd), (yn, yd), (bn, bd) = x._ratio(), y._ratio(), b._ratio()
+
+    def shifted(cell):  # diff + delta*b in N: row . (x - y) from the two dots
+        for c in cell.constraints:
+            base = sum(map(mul, c._ints, xn)) * yd - sum(map(mul, c._ints, yn)) * xd
+            yield (base, xd * yd), (sum(map(mul, c._ints, bn)), bd), c.strict
+
+    plus = [list(shifted(cell)) for cell in cone.cells]
     # delta*b - diff in N
     minus = [[((-vn, vd), w, strict) for (vn, vd), w, strict in rows] for rows in plus]
     best_n, best_d = 1, 1

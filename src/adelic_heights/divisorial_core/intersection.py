@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .cones import DivisorialSpace
 from .completion import CompletionElement
-from ..scalars import _to_fraction
+from ..scalars import _integer_form, _to_fraction
 from .vectors import RationalVector
 
 
@@ -56,23 +56,27 @@ class IntersectionMap:
         return self.table.get(tuple(sorted(idx)), Fraction(0))
 
     def evaluate(self, args: Sequence[RationalVector]) -> Fraction:
+        """The sum over the table's keys and each key's distinct orderings
+        of coefficient * prod_k args[k][index_k], in integers over the
+        product of the common denominators; one Fraction at the end."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments")
         for a in args:
             if a.dim != self.dim:
                 raise ValueError("argument dimension mismatch")
-        total = Fraction(0)
-        for idx in itertools.product(range(self.dim), repeat=self.arity):
-            coeff = self.coefficient(idx)
-            if coeff == 0:
-                continue
-            prod = Fraction(1)
-            for a, i in zip(args, idx):
-                prod *= a[i]
-                if prod == 0:
-                    break
-            total += coeff * prod
-        return total
+        forms = [a._ratio() for a in args]
+        coeffs, den = _integer_form(self.table.values())
+        total = 0
+        for key, c in zip(self.table, coeffs):
+            if c:
+                for idx in set(itertools.permutations(key)):
+                    prod = c
+                    for (nums, _), i in zip(forms, idx):
+                        prod *= nums[i]
+                    total += prod
+        for _, d in forms:
+            den *= d
+        return Fraction(total, den)
 
     def __call__(self, *args: RationalVector) -> Fraction:
         return self.evaluate(args)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from ..scalars import Frozen, _to_fraction
+from ..scalars import Frozen, _integer_form, _to_fraction
 
 Scalar = int | Fraction
 
@@ -14,10 +14,11 @@ class RationalVector(Frozen):
     """Immutable vector with Fraction coordinates.
 
     All arithmetic is exact. Supports +, -, unary -, and scalar
-    multiplication by ints or Fractions.
+    multiplication by ints or Fractions. The cones decide on the vector's
+    integer form, taken on first use.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_ints")
 
     def __init__(self, coords: Iterable):
         object.__setattr__(self, "coords", tuple(_to_fraction(c) for c in coords))
@@ -28,6 +29,15 @@ class RationalVector(Frozen):
         v = object.__new__(cls)
         object.__setattr__(v, "coords", tuple(coords))
         return v
+
+    def _ratio(self) -> tuple[tuple[int, ...], int]:
+        """The coordinates as integer numerators over one positive common
+        denominator."""
+        try:
+            return self._ints
+        except AttributeError:
+            object.__setattr__(self, "_ints", _integer_form(self.coords))
+            return self._ints
 
     @property
     def dim(self) -> int:

@@ -1,9 +1,10 @@
 """What every layer shares: the scalar coercions (exact Fractions for ints
 and rational strings, finite floats passed through by _num or converted
-exactly by _to_fraction), the exact-ratio kernel of the profile layers
-and of the log-linear sums, the one divergence signal, and Frozen, the
-one base of the read-only value classes (divisors, places, profiles and
-their pieces, duals, measures, constraints, cells and vectors)."""
+exactly by _to_fraction), the exact-ratio kernel of the profile layers,
+the log-linear sums and the divisorial core, the one divergence signal,
+and Frozen, the one base of the read-only value classes (divisors,
+places, profiles and their pieces, duals, measures, constraints, cells
+and vectors)."""
 
 from __future__ import annotations
 
@@ -47,10 +48,10 @@ class PositiveDivergenceError(ValueError):
     """An integral diverges to +infinity; no value can be returned."""
 
 
-# The exact-ratio kernel, the one place in the profile layers and the
-# rational-point layer that reads a Fraction's integer ratio. A Term is a
-# value on its way into a result: an unreduced integer ratio (numerator,
-# positive denominator), or a float.
+# The exact-ratio kernel, the one place in the profile layers, the
+# rational-point layer and the divisorial core that reads a Fraction's
+# integer ratio. A Term is a value on its way into a result: an unreduced
+# integer ratio (numerator, positive denominator), or a float.
 Term = tuple[int, int] | float
 
 
@@ -120,6 +121,15 @@ def _float_of(x: Term | Fraction) -> float:
         return float(x)
     n, d = x if type(x) is tuple else x.as_integer_ratio()
     return n / d
+
+
+def _integer_form(xs: Iterable[int | Fraction]) -> tuple[tuple[int, ...], int]:
+    """xs (ints or Fractions) as integer numerators over one positive common
+    denominator, the lcm of theirs: the form of a constraint row or a
+    vector that the divisorial core decides on."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = math.lcm(*[d for _, d in ratios])
+    return tuple([n * (den // d) for n, d in ratios]), den
 
 
 def _scaled(x: Fraction, v: int) -> Fraction:

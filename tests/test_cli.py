@@ -199,6 +199,43 @@ class TestExampleAlpha:
         _, out2, _ = run(capsys, "example-alpha", "--alpha", "1/10")
         assert out1 == out2
 
+    def test_finite_height_beyond_float_range(self, capsys):
+        # the closed form is about -2e308: finite, so never printed as -inf
+        assert run(capsys, "example-alpha", "--alpha", "1e-308") == (
+            3,
+            "",
+            "error: finite height beyond float range\n",
+        )
+
+    def test_largest_heights_in_float_range(self, capsys):
+        payload = run_json(capsys, "example-alpha", "--alpha", "1e-300")
+        alpha = F("1e-300")
+        closed = (2 - 3 * alpha) / (alpha * (2 * alpha - 1))
+        assert payload == {
+            "closed_form": str(closed),
+            "roof_route": -2e300,
+            "energy_route": -2e300,
+            "gap": 0.0,
+        }
+
+    @pytest.mark.parametrize("k", range(1, 20))
+    def test_twentieths(self, capsys, k):
+        # the alphas of the benchmark's CLI mix: both routes print the
+        # closed form to 12 digits, or -inf from alpha = 1/2 on
+        payload = run_json(capsys, "example-alpha", "--alpha", f"{k}/20")
+        if k >= 10:
+            assert payload == {
+                "closed_form": "-inf",
+                "roof_route": "-inf",
+                "energy_route": "-inf",
+                "gap": 0.0,
+            }
+            return
+        closed = F(payload["closed_form"])
+        assert closed == F((40 - 3 * k) * 20, k * (2 * k - 20))
+        assert payload["roof_route"] == payload["energy_route"] == float(f"{float(closed):.12g}")
+        assert payload["gap"] <= 1e-14
+
     @pytest.mark.parametrize("alpha", ["1e-310", "1e-330"])
     def test_alpha_below_float_range(self, capsys, alpha):
         # 1/alpha is no float: refused where the alpha piece takes its

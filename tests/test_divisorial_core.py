@@ -1,7 +1,9 @@
 """Exact cone geometry, the order metric, and pairing extension."""
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -666,3 +668,185 @@ class TestIntersection:
         )
         val = extend_intersection(h, [x, x], F(1, 10**6), b)
         assert val >= -1e-6
+
+
+# ---------------------------------------------------------------------------
+# The integer forms against definitions taken in Fractions.
+
+
+def two_cell_cone(dim):
+    """{x1 > 0} union {x1 = 0, other coordinates >= 0}."""
+    unit = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    strict = Cell((Constraint(unit[0], strict=True),))
+    face = Cell(
+        (Constraint(unit[0]), Constraint(tuple(-a for a in unit[0])))
+        + tuple(Constraint(u) for u in unit[1:])
+    )
+    return SemilinearCone([strict, face], dim)
+
+
+METRIC_SPACES = {
+    "standard2": standard_space(2),
+    "standard3": standard_space(3),
+    "skew2": DivisorialSpace(
+        2, SemilinearCone.from_halfspaces([(F(1, 3), F(2, 7)), (F(3, 10**12), F(1, 5))], 2)
+    ),
+    "half_open": DivisorialSpace(2, half_open_cone()),
+    "two_cell3": DivisorialSpace(3, two_cell_cone(3)),
+}
+
+
+def _oracle_d_b(space, b, x, y):
+    """min(1, the infimum over pairs of cells (A, B) of the delta with
+    x - y + delta*b in A and delta*b - (x - y) in B), each row's base and
+    rate a Fraction sum over the row."""
+    diff = [p - q for p, q in zip(x, y)]
+
+    def dot(row, v):
+        return sum((r * c for r, c in zip(row, v)), F(0))
+
+    best = F(1)
+    for ca in space.order_cone.cells:
+        for cb in space.order_cone.cells:
+            rows = [(dot(c.row, diff), dot(c.row, b), c.strict) for c in ca.constraints]
+            rows += [(-dot(c.row, diff), dot(c.row, b), c.strict) for c in cb.constraints]
+            inf = _oracle_delta_inf(rows)
+            if inf is not None:
+                best = min(best, inf)
+    return best
+
+
+# mixed and large denominators, and a few small values so that bounds tie
+wide = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-1, 3)]),
+    st.fractions(min_value=-10, max_value=10, max_denominator=10**12),
+)
+positive = st.one_of(
+    st.sampled_from([F(1), F(2), F(1, 3)]),
+    st.fractions(min_value=F(1, 10**6), max_value=10, max_denominator=10**12),
+)
+
+
+@st.composite
+def metric_cases(draw):
+    name = draw(st.sampled_from(sorted(METRIC_SPACES)))
+    space = METRIC_SPACES[name]
+    dim = space.ambient_dim
+    b = V(draw(st.lists(positive, min_size=dim, max_size=dim)))
+    x = draw(st.lists(wide, min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        # y - x a multiple of b, up to zeros: the bounds of the rows tie
+        t = draw(wide)
+        keep = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        y = [p + t * g if k else p for p, g, k in zip(x, b, keep)]
+    else:
+        y = draw(st.lists(wide, min_size=dim, max_size=dim))
+    return space, b, V(x), V(y)
+
+
+class TestIntegerForms:
+    @given(metric_cases())
+    @example((METRIC_SPACES["standard2"], V([1, 1]), V([0, 0]), V([F(1, 3), F(-1, 3)])))
+    @example((METRIC_SPACES["two_cell3"], V([1, 2, 3]), V([0, 0, 0]), V([0, -2, 3])))
+    @example((METRIC_SPACES["half_open"], V([1, 0]), V([0, 1]), V([0, 0])))
+    @settings(max_examples=300, deadline=None)
+    def test_d_b_matches_its_definition(self, case):
+        space, b, x, y = case
+        if not space.order_cone.contains(b):
+            with pytest.raises(ValueError, match="gauge"):
+                d_b(space, b, x, y)
+            return
+        got = d_b(space, b, x, y)
+        assert type(got) is F and got == _oracle_d_b(space, b, x, y)
+
+    @given(st.lists(st.lists(entry, min_size=2, max_size=2), max_size=4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_nonzero_point_matches_the_normalised_search(self, rows, strict):
+        cell = Cell(tuple(Constraint(r, strict=strict and k == 0) for k, r in enumerate(rows)))
+        base = [(c.row, 0, c.strict) for c in cell.constraints]
+        units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+        want = any(cones._feasible(base + [(u, -1, False)], 2) for u in units)
+        assert cones.cell_has_nonzero_point(cell, 2) == want
+
+    @pytest.mark.parametrize("value", [Constraint((F(1, 3), F(-2, 9)), True), V([F(1, 6), 0, 4])])
+    def test_a_filled_integer_form_is_no_field(self, value):
+        fresh = copy.copy(value)
+        if isinstance(value, Constraint):
+            value.satisfied(V([1, 1]))
+            assert value._ints == (3, -2)
+        else:
+            assert value._ratio() == ((1, 0, 24), 6)
+        assert value == fresh and hash(value) == hash(fresh)
+        assert repr(value) == repr(fresh)
+        assert pickle.dumps(value) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_a_completion_element_checks_its_gauge_once(self, monkeypatch):
+        space, b = standard_space(), V([1, 1])
+        calls = []
+        contains = SemilinearCone.contains
+
+        def spy(cone, v):
+            calls.append(v)
+            return contains(cone, v)
+
+        monkeypatch.setattr(SemilinearCone, "contains", spy)
+        reciprocal_element(space, b, V([0, 0]))
+        assert calls == [b]
+
+    @pytest.mark.parametrize(
+        "sequence, modulus",
+        [
+            # terms 1/20 apart: only the tolerance 1/100 sees the lie
+            (lambda n: V([F((-1) ** n, 40), 0]), lambda eps: 0),
+            # term n + 1 agrees with term n; only term 2n + 1 moves
+            (lambda n: V([int(n > 5), 0]), lambda eps: 3),
+        ],
+    )
+    def test_a_lying_modulus_still_raises(self, sequence, modulus):
+        with pytest.raises(ValueError, match="modulus fails"):
+            CompletionElement(standard_space(), V([1, 1]), sequence, modulus)
+
+
+def _brute_evaluate(imap, args):
+    """The dim**arity walk: every index tuple, its sorted key's value."""
+    total = F(0)
+    for idx in itertools.product(range(imap.dim), repeat=imap.arity):
+        coeff = imap.table.get(tuple(sorted(idx)), F(0))
+        prod = coeff
+        for a, i in zip(args, idx):
+            prod *= a[i]
+        total += prod
+    return total
+
+
+@st.composite
+def pairings(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    arity = draw(st.integers(min_value=1, max_value=3))
+    keys = st.tuples(*[st.integers(0, dim - 1)] * arity)
+    coeff = st.one_of(st.just(F(0)), st.fractions(-5, 5, max_denominator=10**6))
+    table = {}
+    for key, c in draw(st.lists(st.tuples(keys, coeff), max_size=6)):
+        table.setdefault(tuple(sorted(key)), (key, c))
+    entries = {}
+    for key, c in table.values():
+        entries[key] = c
+        if draw(st.booleans()):
+            entries[key[::-1]] = c  # the same key in another order
+    vec = st.lists(st.fractions(-5, 5, max_denominator=10**9), min_size=dim, max_size=dim)
+    args = [V(draw(vec)) for _ in range(arity)]
+    return dim, arity, entries, args
+
+
+class TestPairingWalk:
+    @given(pairings(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_matches_the_brute_force_walk(self, case, rnd):
+        dim, arity, entries, args = case
+        imap = IntersectionMap(standard_space(dim), arity, entries)
+        got = imap.evaluate(args)
+        assert type(got) is F and got == _brute_evaluate(imap, args)
+        shuffled = list(args)
+        rnd.shuffle(shuffled)
+        assert imap.evaluate(shuffled) == got

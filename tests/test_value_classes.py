@@ -6,6 +6,7 @@ import and its exports loaded on first use."""
 import ast
 import copy
 import importlib
+import math
 import pickle
 import subprocess
 import sys
@@ -50,6 +51,7 @@ from adelic_heights.scalars import (
     _affine_ratio,
     _float_of,
     _increasing,
+    _integer_form,
     _negated,
     _ratio_sum,
     _read,
@@ -138,6 +140,11 @@ def test_one_kernel_holds_the_ratio_format():
     for layer in ("convex_calculus", "adelic_curve"):
         for module in sorted((package / layer).glob("*.py")):
             assert "as_integer_ratio" not in module.read_text(), module.name
+    # the divisorial core reads no ratio at all: it decides on integer forms
+    for module in sorted((package / "divisorial_core").glob("*.py")):
+        text = module.read_text()
+        for name in (".numerator", ".denominator", "as_integer_ratio"):
+            assert name not in text, (module.name, name)
     tree = ast.parse((package / "adelic_curve" / "family.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module.endswith("duality"):
@@ -158,6 +165,20 @@ TERMS = st.one_of(
     ).map(lambda t: (t[0] * t[2], t[1] * t[2])),
     FLOATS,
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-10**6, 10**6), st.fractions(-10, 10, max_denominator=10**12)),
+        max_size=6,
+    )
+)
+def test_integer_form_is_one_common_denominator(xs):
+    nums, den = _integer_form(xs)
+    assert all(type(n) is int for n in nums) and type(den) is int
+    assert den == math.lcm(*(F(x).denominator for x in xs))
+    assert [F(n, den) for n in nums] == [F(x) for x in xs]
 
 
 def _same(got, expected) -> bool:
