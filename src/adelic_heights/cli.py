@@ -291,7 +291,7 @@ def load_input(raw: str | None):
             raise SchemaError(f"cannot read input {raw}: {reason}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
+    except (ValueError, RecursionError) as exc:  # malformed, too long an integer, too deep
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
 
 

@@ -28,7 +28,7 @@ class Constraint(Frozen):
     def __init__(self, row: Iterable, strict: bool = False):
         object.__setattr__(self, "row", tuple(_to_fraction(c) for c in row))
         object.__setattr__(self, "strict", strict)
-        object.__setattr__(self, "_ints", _primitive(self.row, 0, strict)[0])
+        object.__setattr__(self, "_ints", _primitive(_integer_form(self.row)[0]))
 
     def value(self, x: RationalVector) -> Fraction:
         nums, den = _integer_form(self.row)
@@ -57,43 +57,34 @@ class Cell(Frozen):
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination, the one engine behind every cone axiom.
-# Rows are (coeffs, const, strict) meaning coeffs . x + const >= 0 (> if strict).
+# Rows are (coeffs, strict) with coprime integer coeffs, meaning
+# coeffs . x >= 0 (> 0 when strict).
 # ---------------------------------------------------------------------------
 
 
-def _primitive(coeffs: tuple, const, strict: bool) -> tuple:
-    """The row scaled by a positive number to coprime integers, so that
-    positively proportional rows become identical. An integer row needs
-    only its gcd."""
-    ints = (*coeffs, const)
-    try:
-        g = math.gcd(*ints)
-    except TypeError:  # Fractions: over their common denominator first
-        ints = _integer_form(ints)[0]
-        g = math.gcd(*ints)
-    if g > 1:
-        ints = [e // g for e in ints]
-    return tuple(ints[:-1]), ints[-1], strict
+def _primitive(ints: Sequence[int]) -> tuple:
+    """The integer row divided by its gcd, so that positively proportional
+    rows become identical."""
+    g = math.gcd(*ints)
+    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
 
 
 def _eliminate(rows: Iterable, variables: Iterable[int]) -> list:
     """Rows whose solution set is the projection of the rows' solution set
     along the given coordinates, where their coefficients are all zero.
 
-    Rows are made coprime integers once, on entry or when combined. Each
-    step eliminates the variable with the fewest positive x negative row
-    pairs (the first such in the given order; the signs are counted in
-    one pass over the rows), then drops repeated rows and rows that every
-    point satisfies. A row that no point satisfies is returned alone."""
+    Each step eliminates the variable with the fewest positive x negative
+    row pairs (the first such in the given order; the signs are counted in
+    one pass over the rows), makes each combined row coprime, then drops
+    repeated rows and rows that every point satisfies. A row that no point
+    satisfies (a strict row of zeros) is returned alone."""
     left = list(variables)
-    rows = [_primitive(*row) for row in rows]
     while True:
         kept = {}
         for row in rows:
-            coeffs, const, strict = row
-            if any(coeffs):
+            if any(row[0]):
                 kept[row] = None
-            elif not (const > 0 if strict else const >= 0):
+            elif row[1]:
                 return [row]
         rows = list(kept)
         if not (left and rows):
@@ -101,7 +92,7 @@ def _eliminate(rows: Iterable, variables: Iterable[int]) -> list:
         i = left[0]
         if left[1:]:
             pos, neg = [0] * len(rows[0][0]), [0] * len(rows[0][0])
-            for coeffs, _, _ in rows:
+            for coeffs, _ in rows:
                 for j, a in enumerate(coeffs):
                     if a:
                         (pos if a > 0 else neg)[j] += 1
@@ -112,16 +103,11 @@ def _eliminate(rows: Iterable, variables: Iterable[int]) -> list:
             a = row[0][i]
             (pos if a > 0 else neg if a < 0 else zero).append(row)
         rows = zero
-        for cp, bp, sp in pos:
-            for cn, bn, sn in neg:
+        for cp, sp in pos:
+            for cn, sn in neg:
                 # scale so the i-th coefficients cancel; both scales positive
                 lam, mu = -cn[i], cp[i]
-                coeffs = [lam * a + mu * b for a, b in zip(cp, cn)]
-                const = lam * bp + mu * bn
-                g = math.gcd(*coeffs, const)
-                if g > 1:
-                    coeffs, const = [a // g for a in coeffs], const // g
-                rows.append((tuple(coeffs), const, sp or sn))
+                rows.append((_primitive([lam * a + mu * b for a, b in zip(cp, cn)]), sp or sn))
 
 
 def _feasible(rows: Iterable, n: int) -> bool:
@@ -129,8 +115,23 @@ def _feasible(rows: Iterable, n: int) -> bool:
     return not _eliminate(rows, range(n))
 
 
+def _has_nonzero_point(rows: list, dim: int) -> bool:
+    """Exact test for a solution of rows in dim variables other than the
+    origin. The origin breaks a strict row, so rows with one need only a
+    solution. Otherwise the solutions form a closed cone, with a point
+    where x_i != 0 unless eliminating the other variables leaves both
+    x_i >= 0 and -x_i >= 0."""
+    if any(strict for _, strict in rows):
+        return _feasible(rows, dim)
+    for i in range(dim):
+        signs = {c[i] > 0 for c, _ in _eliminate(rows, [j for j in range(dim) if j != i])}
+        if len(signs) < 2:
+            return True
+    return False
+
+
 def _cell_rows(cell: Cell) -> list:
-    return [(c._ints, 0, c.strict) for c in cell.constraints]
+    return [(c._ints, c.strict) for c in cell.constraints]
 
 
 def cell_is_empty(cell: Cell, dim: int) -> bool:
@@ -139,18 +140,8 @@ def cell_is_empty(cell: Cell, dim: int) -> bool:
 
 
 def cell_has_nonzero_point(cell: Cell, dim: int) -> bool:
-    """Exact test for a solution other than the origin.
-
-    The origin breaks a strict row, so a cell with one has a nonzero
-    solution iff it has any. Otherwise homogeneity lets us normalise: a
-    nonzero solution exists iff the system plus s*x_i >= 1 is feasible for
-    some coordinate i and sign s.
-    """
-    base = _cell_rows(cell)
-    if any(c.strict for c in cell.constraints):
-        return _feasible(base, dim)
-    units = (tuple(s * (j == i) for j in range(dim)) for i in range(dim) for s in (1, -1))
-    return any(_feasible(base + [(unit, -1, False)], dim) for unit in units)
+    """Exact test for a solution other than the origin."""
+    return _has_nonzero_point(_cell_rows(cell), dim)
 
 
 def _delta_inf(rows) -> tuple[int, int] | None:
@@ -248,11 +239,11 @@ class SemilinearCone:
         pairs = itertools.combinations(enumerate(self.cells), 2)
         for (i, ci), (j, cj) in pairs:
             # x in ci and y in cj, over the variables (x, y)
-            members = [(c._ints + zeros, 0, c.strict) for c in ci.constraints]
-            members += [(zeros + c._ints, 0, c.strict) for c in cj.constraints]
+            members = [(c._ints + zeros, c.strict) for c in ci.constraints]
+            members += [(zeros + c._ints, c.strict) for c in cj.constraints]
             for broken in itertools.product(*(cell.constraints for cell in self.cells)):
                 # x + y breaks the chosen constraint of every cell
-                escape = [(tuple(-a for a in c._ints) * 2, 0, not c.strict) for c in broken]
+                escape = [(tuple(-a for a in c._ints) * 2, not c.strict) for c in broken]
                 if _feasible(members + escape, 2 * n):
                     raise ValueError(
                         f"not a cone: cells {i} and {j} have members whose sum escapes"
@@ -286,11 +277,12 @@ class SemilinearCone:
         for i in range(dim):
             # x_i - sum_k lam_k g_k[i] = 0, as two inequalities
             coeffs = tuple(int(j == i) for j in range(dim)) + tuple(-g[i] for g in gens)
-            rows += [(coeffs, 0, False), (tuple(-a for a in coeffs), 0, False)]
+            coeffs = _primitive(_integer_form(coeffs)[0])
+            rows += [(coeffs, False), (tuple(-a for a in coeffs), False)]
         for j in range(k):
-            rows.append(((0,) * dim + tuple(int(m == j) for m in range(k)), 0, False))
+            rows.append(((0,) * dim + tuple(int(m == j) for m in range(k)), False))
         projected = _eliminate(rows, range(dim, dim + k))
-        return SemilinearCone.from_halfspaces([c[:dim] for c, _, _ in projected], dim)
+        return SemilinearCone.from_halfspaces([c[:dim] for c, _ in projected], dim)
 
 
 class DivisorialSpace:
@@ -313,10 +305,8 @@ class DivisorialSpace:
         # c1 meets -c2 iff c2 meets -c1, so each unordered pair is enough
         cells = self.order_cone.cells
         for c1, c2 in itertools.combinations_with_replacement(cells, 2):
-            negated = tuple(
-                Constraint(tuple(-a for a in c.row), c.strict) for c in c2.constraints
-            )
-            if cell_has_nonzero_point(Cell(c1.constraints + negated), self.ambient_dim):
+            negated = [(tuple(-a for a in c._ints), c.strict) for c in c2.constraints]
+            if _has_nonzero_point(_cell_rows(c1) + negated, self.ambient_dim):
                 raise ValueError(
                     "order cone is not pointed: it meets its negative "
                     "in a nonzero vector"
@@ -325,7 +315,7 @@ class DivisorialSpace:
     def _check_spans(self) -> None:
         # an all-zero non-strict row holds everywhere; made strict it would not
         for cell in self.order_cone.cells:
-            rows = [(c._ints, 0, True) for c in cell.constraints if c.strict or any(c._ints)]
+            rows = [(c._ints, True) for c in cell.constraints if c.strict or any(c._ints)]
             if _feasible(rows, self.ambient_dim):
                 return
         raise ValueError("order cone does not span the space: it has no interior point")

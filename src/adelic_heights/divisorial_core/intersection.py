@@ -35,8 +35,8 @@ class IntersectionMap:
         arity: int,
         table: dict[tuple[int, ...], object],
     ):
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
+        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
+            raise ValueError("arity must be an int of at least 1")
         self.space = space
         self.arity = arity
         self.dim = space.ambient_dim
@@ -44,6 +44,8 @@ class IntersectionMap:
         for idx, val in table.items():
             if len(idx) != arity:
                 raise ValueError("table key has wrong length")
+            if any(isinstance(i, bool) or not isinstance(i, int) for i in idx):
+                raise ValueError("table key index must be an int")
             if any(not (0 <= i < self.dim) for i in idx):
                 raise ValueError("table key index out of range")
             key = tuple(sorted(idx))

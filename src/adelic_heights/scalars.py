@@ -9,6 +9,7 @@ and vectors)."""
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from operator import attrgetter
@@ -25,6 +26,16 @@ def _num(x) -> Fraction | float:
     if isinstance(x, float) and math.isfinite(x):
         return x
     if isinstance(x, str):
+        # Fraction builds 10**|exponent|: an exponent past the digit limit
+        # Python puts on reading an int (0 for none) is refused
+        _, e, exponent = x.lower().rpartition("e")
+        limit = sys.get_int_max_str_digits()
+        try:
+            too_big = bool(e and limit) and abs(int(exponent)) > limit
+        except ValueError:  # not an exponent: Fraction says why below
+            too_big = False
+        if too_big:
+            raise ValueError(f"bad rational literal {x!r}: exponent beyond {limit} digits")
         try:
             return Fraction(x)
         except ZeroDivisionError as exc:

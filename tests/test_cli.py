@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from adelic_heights import cli
+from adelic_heights import cli, scalars
 from adelic_heights.adelic_curve import AdelicFamily, Place, ToricCompactifiedDivisor
 from adelic_heights.convex_calculus.functions import (
     AffinePiece,
@@ -724,6 +724,44 @@ class TestInputRobustness:
         assert (got, out) == (2, "")
         assert err.startswith(f"error: cannot read input {path}: 'utf-8' codec can't decode")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("sub", ["height", "energy", "dual", "ma", "nef-check", "plot"])
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 3000], ids=["arrays", "objects"])
+    def test_input_file_nested_too_deep(self, capsys, tmp_path, sub, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        got, out, err = run(capsys, sub, "--input", str(path))
+        assert (got, out) == (2, "")
+        assert err.startswith("error: input is not valid JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("product-formula", "1e-99999"),
+            ("product-formula", "1e-999999"),
+            ("example-alpha", "--alpha", "1e-9999999"),
+        ],
+    )
+    def test_a_decimal_exponent_past_the_digit_limit_is_refused(self, capsys, argv):
+        # read in full, 1e-99999 took 20 s and 1e-9999999 took 9 s to parse
+        start = time.perf_counter()
+        got, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert (got, out) == (2, "")
+        assert f"bad rational literal {argv[-1]!r}: exponent beyond 4300 digits" in err
+        assert err.count("\n") == 1
+
+    def test_a_decimal_exponent_at_the_digit_limit_is_read(self, capsys, monkeypatch):
+        assert scalars._num("1e-4300") == F(1, 10**4300)
+        assert scalars._num("1E+4300") == 10**4300
+        # its 4301-digit denominator is then refused when printed
+        got, out, err = run(capsys, "product-formula", "1e-4300")
+        assert (got, out) == (3, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits)")
+        # 0 lifts the digit limit, and with it the bound on the exponent
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert scalars._num("1e-5000") == F(1, 10**5000)
 
 
 def _without(obj, *path):

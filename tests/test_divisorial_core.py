@@ -362,6 +362,24 @@ def _oracle_eliminate(rows, variables):
                 rows.append((coeffs, lam * bp + mu * bn, sp or sn))
 
 
+def _oracle_on_engine_rows(rows, variables):
+    """_oracle_eliminate on the engine's rows (coeffs, strict), each given
+    the constant term 0, with its result as the engine's rows."""
+    got = _oracle_eliminate([(coeffs, 0, strict) for coeffs, strict in rows], variables)
+    return [(coeffs, strict) for coeffs, _, strict in got]
+
+
+def _homogenised(rows, n):
+    """The oracle's rows c.x + b >= 0 (> 0 when strict) in n variables as
+    the engine's rows (c, b).(x, t) >= 0 in n + 1, with the strict row
+    t > 0: one system has a solution iff the other has (divide by t)."""
+    out = []
+    for row in rows:
+        coeffs, const, strict = _oracle_primitive(*row)
+        out.append(((*coeffs, const), strict))
+    return out + [((0,) * n + (1,), True)]
+
+
 entry = st.one_of(st.just(F(0)), st.fractions(min_value=-40, max_value=40, max_denominator=30))
 
 
@@ -371,6 +389,21 @@ def systems(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     coeffs = st.lists(entry, min_size=n, max_size=n).map(tuple)
     rows = draw(st.lists(st.tuples(coeffs, entry, st.booleans()), max_size=6))
+    return n, rows
+
+
+@st.composite
+def cell_systems(draw):
+    """Up to five homogeneous rows in at most four variables, then maybe
+    the negation of one (an equality) and maybe minus their sum, which
+    leaves only the points where every row is 0: the origin alone when
+    the rows span, in any dimension."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple), max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append(tuple(-a for a in rows[-1]))
+    if draw(st.booleans()):
+        rows.append(tuple(-sum(col) for col in zip(*rows)) if rows else (F(0),) * n)
     return n, rows
 
 
@@ -467,18 +500,22 @@ class TestExactKernels:
         assert Constraint((0, 0)).value(V([1, 2])) == 0
 
     @given(systems())
+    # a strict and a non-strict row cancel into a strict row of zeros
+    @example((2, [((F(1), F(-1)), F(0), True), ((F(-1), F(1)), F(0), False)]))
     @settings(max_examples=200, deadline=None)
     def test_elimination_matches_the_oracle(self, system):
         n, rows = system
+        # each drawn row without its constant, coprime as the engine takes it
+        engine = [(_oracle_primitive(coeffs, 0, strict)[0], strict) for coeffs, _, strict in rows]
         for variables in (range(n), range(n - 1)):
-            got = cones._eliminate(rows, variables)
-            want = _oracle_eliminate(rows, variables)
-            assert got == want
+            got = cones._eliminate(engine, variables)
+            assert got == _oracle_on_engine_rows(engine, variables)
             assert len(set(got)) == len(got)
-            for coeffs, const, _ in got:
-                assert all(type(a) is int for a in (*coeffs, const))
-                assert math.gcd(*coeffs, const) in (0, 1)
-        assert cones._feasible(rows, n) == (not _oracle_eliminate(rows, range(n)))
+            for coeffs, _ in got:
+                assert all(type(a) is int for a in coeffs)
+                assert math.gcd(*coeffs) in (0, 1)
+        feasible = not _oracle_eliminate(rows, range(n))
+        assert cones._feasible(_homogenised(rows, n), n + 1) == feasible
 
     def test_core_fixtures_agree_with_the_oracle(self, monkeypatch):
         empty = Cell((Constraint((1, 0), strict=True), Constraint((-1, 0), strict=True)))
@@ -523,8 +560,23 @@ class TestExactKernels:
             return out
 
         got = outcomes()
-        monkeypatch.setattr(cones, "_eliminate", _oracle_eliminate)
+        monkeypatch.setattr(cones, "_eliminate", _oracle_on_engine_rows)
         assert outcomes() == got
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_pointedness_projects_once_per_coordinate(self, monkeypatch, dim):
+        # the standard cone's one pair of cells has no strict row
+        space = standard_space(dim)
+        calls = []
+        eliminate = cones._eliminate
+
+        def spy(rows, variables):
+            calls.append(list(variables))
+            return eliminate(rows, variables)
+
+        monkeypatch.setattr(cones, "_eliminate", spy)
+        space._check_pointed()
+        assert calls == [[j for j in range(dim) if j != i] for i in range(dim)]
 
 
 def reciprocal_element(sp, b, drift):
@@ -584,6 +636,20 @@ class TestIntersection:
         assert report["passed"]
         assert report["nef_nonnegative"]
         assert all(w is not None for w in report["amplitude_witnesses"].values())
+
+    @pytest.mark.parametrize(
+        "arity, table, message",
+        [
+            (2, {(0, 0.5): 1}, "table key index must be an int"),
+            (2, {(1.0, 0): 1}, "table key index must be an int"),
+            (2, {(True, 0): 1}, "table key index must be an int"),
+            (2.0, {(0, 1): 1}, "arity must be an int of at least 1"),
+            (True, {(0,): 1}, "arity must be an int of at least 1"),
+        ],
+    )
+    def test_indices_and_arity_must_be_ints(self, arity, table, message):
+        with pytest.raises(ValueError, match=message):
+            IntersectionMap(standard_space(), arity, table)
 
     def test_axiom_report_catches_negativity(self):
         sp = standard_space()
@@ -759,14 +825,26 @@ class TestIntegerForms:
         got = d_b(space, b, x, y)
         assert type(got) is F and got == _oracle_d_b(space, b, x, y)
 
-    @given(st.lists(st.lists(entry, min_size=2, max_size=2), max_size=4), st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_nonzero_point_matches_the_normalised_search(self, rows, strict):
+    @given(cell_systems(), st.booleans())
+    # a ray and a line: one coordinate's projection is a half-line, or all of it
+    @example((2, [(F(1), F(0)), (F(0), F(1)), (F(0), F(-1))]), False)
+    @example((3, [(F(1), F(0), F(0)), (F(-1), F(0), F(0)), (F(0), F(1), F(0))]), False)
+    @example((1, [(F(1),)]), False)
+    @example((1, [(F(1),), (F(-1),)]), False)
+    # the origin alone in dimension 4: the unit rows and minus their sum
+    @example(
+        (4, [tuple(F(int(i == j)) for j in range(4)) for i in range(4)] + [(F(-1),) * 4]),
+        False,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_nonzero_point_matches_the_normalised_search(self, system, strict):
+        n, rows = system
         cell = Cell(tuple(Constraint(r, strict=strict and k == 0) for k, r in enumerate(rows)))
+        # a nonzero solution, scaled, has s*x_i >= 1 for some coordinate i and sign s
         base = [(c.row, 0, c.strict) for c in cell.constraints]
-        units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        want = any(cones._feasible(base + [(u, -1, False)], 2) for u in units)
-        assert cones.cell_has_nonzero_point(cell, 2) == want
+        units = [tuple(s * (j == i) for j in range(n)) for i in range(n) for s in (1, -1)]
+        want = any(not _oracle_eliminate(base + [(u, -1, False)], range(n)) for u in units)
+        assert cones.cell_has_nonzero_point(cell, n) == want
 
     @pytest.mark.parametrize("value", [Constraint((F(1, 3), F(-2, 9)), True), V([F(1, 6), 0, 4])])
     def test_a_filled_integer_form_is_no_field(self, value):
