@@ -46,9 +46,8 @@ class ToricCompactifiedDivisor(Frozen):
 
 
 def canonical_fn(divisor: ToricCompactifiedDivisor) -> ConcaveFn:
-    """The profile min(b*u, -a*u); a single line when the degree is zero."""
-    if divisor.degree == 0:
-        return ConcaveFn.affine(divisor.b)
+    """The profile min(b*u, -a*u): one line when the degree is zero, as
+    ConcaveFn merges equal pieces."""
     return ConcaveFn([0], [AffinePiece(divisor.b, 0), AffinePiece(-divisor.a, 0)])
 
 
@@ -58,19 +57,19 @@ def _has_divisor_slopes(psi: ConcaveFn, can: ConcaveFn) -> bool:
     return psi.slope_neg == can.slope_neg and psi.slope_pos == can.slope_pos
 
 
-def _bounded_distance(psi: ConcaveFn, can: ConcaveFn) -> bool:
-    """psi - can and can - psi are both bounded above."""
-    return bounded_above(psi, can) and bounded_above(can, psi)
+def _local_check(psi: ConcaveFn, can: ConcaveFn) -> tuple[bool, bool]:
+    """The one local nef rule, exact: (psi has the asymptotic slopes of the
+    canonical profile can, psi - can is bounded above both ways)."""
+    strongly_nef = _has_divisor_slopes(psi, can)
+    return strongly_nef, strongly_nef and bounded_above(psi, can) and bounded_above(can, psi)
 
 
 def strongly_nef_local_check(
     psi: ConcaveFn, divisor: ToricCompactifiedDivisor
 ) -> tuple[bool, bool]:
     """(has the divisor's asymptotic slopes, stays within bounded distance
-    of the canonical profile: the difference is bounded above both ways)."""
-    can = canonical_fn(divisor)
-    strongly_nef = _has_divisor_slopes(psi, can)
-    return strongly_nef, strongly_nef and _bounded_distance(psi, can)
+    of the canonical profile)."""
+    return _local_check(psi, canonical_fn(divisor))
 
 
 class NefStatus(Frozen):
@@ -231,15 +230,12 @@ class AdelicFamily:
     def singular_places(self) -> tuple[Place, ...]:
         """Exceptional places whose profile has the wrong asymptotic slopes
         or lies at unbounded distance from the canonical one, each decided
-        exactly, as strongly_nef_local_check does, on that place's profile
-        against the family's one canonical profile."""
+        by _local_check on that place's profile against the family's one
+        canonical profile."""
         return tuple(
             place
             for place, psi in self.exceptions.items()
-            if not (
-                _has_divisor_slopes(psi, self.canonical)
-                and _bounded_distance(psi, self.canonical)
-            )
+            if not _local_check(psi, self.canonical)[1]
         )
 
     @cached_property

@@ -42,12 +42,16 @@ class SchemaError(ValueError):
 
 
 def encode_number(x) -> int | float | str:
-    """Rationals to exact 'p/q' strings (integers plain), floats to 12
-    significant digits, -inf to the string '-inf'."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
-    if isinstance(x, int):
-        return x
+    """The one rule for printing a number: rationals to exact 'p/q' strings
+    (integers plain), floats to 12 significant digits, -inf to the string
+    '-inf'; +inf and a rational too long for str raise."""
+    if isinstance(x, (Fraction, int)):
+        try:
+            text = str(x)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise OverflowError(f"exact value beyond {limit} digits") from None
+        return int(x) if x.denominator == 1 else text
     f = float(x)
     if f == -math.inf:
         return "-inf"
@@ -447,12 +451,14 @@ def cmd_example_alpha(args) -> dict:
     }
 
 
+def _layout(v) -> str:
+    """The CSV text of an encoded value: a float at 12 significant digits,
+    anything else as text."""
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
+
+
 def _format_cell(v) -> str:
-    if isinstance(v, float):
-        if v == -math.inf:
-            return "-inf"
-        return f"{v:.12g}"
-    return str(v)
+    return _layout(encode_number(v))
 
 
 def cmd_plot(args) -> list[list[str]]:
@@ -461,11 +467,10 @@ def cmd_plot(args) -> list[list[str]]:
         lo, hi, count = parse_grid(args.grid)
     else:
         lo, hi, count = -10.0, 10.0, DEFAULT_GRID_POINTS
-    from .adelic_curve.family import canonical_fn
     from .adelic_curve.heights import roof
 
     rows = [["series", "x", "y"]]
-    series = [("psi:canonical", canonical_fn(fam.divisor))]
+    series = [("psi:canonical", fam.canonical)]
     series += [
         (f"psi:{encode_place(place)}", psi) for place, psi in fam.exceptions.items()
     ]
@@ -549,7 +554,7 @@ def render(payload, fmt: str) -> str:
             if isinstance(value, (dict, list)):
                 cell = json.dumps(value, separators=(",", ":"))
             else:
-                cell = _format_cell(value)
+                cell = _layout(value)
             rows.append([key, '"' + cell.replace('"', '""') + '"'])
         return "\n".join(",".join(row) for row in rows) + "\n"
     return json.dumps(payload, indent=2) + "\n"

@@ -121,7 +121,7 @@ class DualFn(Frozen):
         # exact on Fractions and floats alike; a point domain is no fault
         if not _increasing((lo, *bps, hi)):
             if lo == hi:
-                if len(pieces) > 1 or bps:
+                if len(pieces) != 1 or bps:
                     raise ValueError("a point domain carries a single piece")
                 return
             if not _increasing((lo, hi)):
@@ -351,10 +351,10 @@ def conjugate_eval(d: DualFn, u: float) -> float:
 
     Minimises m*u - d(m) over the domain; the objective is convex, so a
     sign bisection on its slope u - d'(m), to float resolution, suffices.
+    An endpoint decides it wherever that slope keeps one sign, so on a
+    point domain as well.
     """
     lo, hi = float(d.lo), float(d.hi)
-    if d.is_degenerate():
-        return lo * u - d.pieces[0].value(lo)
 
     def g(m: float) -> float:
         return u - d.derivative(m)

@@ -94,49 +94,42 @@ def check_intersection_axioms(
     Checks, in order: nonnegativity on nef tuples, nonnegativity when one
     slot is effective and the rest nef, and existence of an amplitude
     witness (a nef generator making the pairing strictly positive) for
-    every nonzero effective generator.
+    every nonzero effective generator. The verdicts are read off the one
+    failure list.
     """
-    report = {
-        "nef_nonnegative": True,
-        "effective_nonnegative": True,
-        "amplitude_witnesses": {},
-        "failures": [],
-    }
+    failures = []
     for combo in itertools.combinations_with_replacement(
         range(len(nef_generators)), imap.arity
     ):
-        args = [nef_generators[i] for i in combo]
-        v = imap.evaluate(args)
+        v = imap.evaluate([nef_generators[i] for i in combo])
         if v < 0:
-            report["nef_nonnegative"] = False
-            report["failures"].append(("nef", combo, v))
+            failures.append(("nef", combo, v))
     for ei, e in enumerate(effective_generators):
         for combo in itertools.combinations_with_replacement(
             range(len(nef_generators)), imap.arity - 1
         ):
-            args = [e] + [nef_generators[i] for i in combo]
-            v = imap.evaluate(args)
+            v = imap.evaluate([e] + [nef_generators[i] for i in combo])
             if v < 0:
-                report["effective_nonnegative"] = False
-                report["failures"].append(("effective", (ei,) + combo, v))
+                failures.append(("effective", (ei,) + combo, v))
+    witnesses = {}
     for ei, e in enumerate(effective_generators):
         if e.is_zero():
             continue
-        witness = None
         for ai, a in enumerate(nef_generators):
-            args = [e] + [a] * (imap.arity - 1)
-            if imap.evaluate(args) > 0:
-                witness = ai
+            if imap.evaluate([e] + [a] * (imap.arity - 1)) > 0:
+                witnesses[ei] = ai
                 break
-        report["amplitude_witnesses"][ei] = witness
-        if witness is None:
-            report["failures"].append(("amplitude", ei, None))
-    report["passed"] = (
-        report["nef_nonnegative"]
-        and report["effective_nonnegative"]
-        and all(w is not None for w in report["amplitude_witnesses"].values())
-    )
-    return report
+        else:
+            witnesses[ei] = None
+            failures.append(("amplitude", ei, None))
+    kinds = {kind for kind, _, _ in failures}
+    return {
+        "nef_nonnegative": "nef" not in kinds,
+        "effective_nonnegative": "effective" not in kinds,
+        "amplitude_witnesses": witnesses,
+        "failures": failures,
+        "passed": not failures,
+    }
 
 
 def extend_intersection(

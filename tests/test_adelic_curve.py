@@ -119,6 +119,10 @@ class TestPlaces:
         for p in (2, 3, 5, 11):
             assert abs_value(p, Place.prime(p)) == F(1, p)
 
+    def test_abs_value_of_zero(self):
+        for place in (Place.prime(3), INF):
+            assert abs_value(0, place) == 0
+
     def test_support(self):
         assert support(F(12, 5)) == [Place.prime(2), Place.prime(3), Place.prime(5)]
         assert support(1) == []
@@ -903,6 +907,8 @@ class TestRoofSums:
             DualFn(F(1), 0.5, [], [DualPiece(0, 0)])
         with pytest.raises(ValueError, match="single piece"):
             DualFn(0.5, F(1, 2), [], [DualPiece(0, 0)] * 2)
+        with pytest.raises(ValueError, match="^a point domain carries a single piece$"):
+            DualFn(1, 1, [], [])
         mixed = DualFn(F(0), 1.0, [0.25, F(1, 2), 0.75], [DualPiece(0, 0)] * 4)
         assert mixed.breakpoints == (0.25, F(1, 2), 0.75)
 
@@ -1229,7 +1235,45 @@ class TestNefStatus:
         assert nef_status(twist(fam, {INF: 10})).status == "S_ample"
 
 
+@st.composite
+def rational_twist_cases(draw):
+    """A family of piecewise-affine rational profiles for a random divisor
+    a[0] + b[inf], at up to three of the places 2, 3, 5 and infinity, and a
+    rational twist on up to three of them."""
+    pool = [Place.prime(2), Place.prime(3), Place.prime(5), INF]
+    small = st.fractions(-3, 3, max_denominator=6)
+    b = draw(small)
+    a = draw(st.fractions(-b, 3 - b, max_denominator=6))
+    divisor = ToricCompactifiedDivisor(a, b)
+    table = {}
+    for place in draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)):
+        inner = draw(st.lists(st.fractions(-a, b, max_denominator=6), max_size=2, unique=True))
+        slopes = [b, *sorted((s for s in inner if -a < s < b), reverse=True), -a]
+        slopes = list(dict.fromkeys(slopes))
+        bps = draw(
+            st.lists(small, min_size=len(slopes) - 1, max_size=len(slopes) - 1, unique=True)
+        )
+        table[place] = profile_through(slopes, sorted(bps), draw(small))
+    c = draw(st.dictionaries(st.sampled_from(pool), small, max_size=3))
+    return AdelicFamily(divisor, table), c
+
+
 class TestTwist:
+    @given(rational_twist_cases(), st.fractions(F(1, 50), 50, max_denominator=50))
+    @settings(max_examples=80, deadline=None)
+    def test_twist_rule(self, case, t):
+        # the roof gains sum(c) pointwise: the height gains exactly
+        # 2*deg*sum(c), each boundary height exactly sum(c), and a point
+        # height sum(c) up to the float logs it is made of
+        fam, c = case
+        lifted, gain = twist(fam, c), sum(c.values(), F(0))
+        assert global_height(lifted) - global_height(fam) == 2 * fam.divisor.degree * gain
+        for point in ("zero", "infinity"):
+            assert boundary_height(lifted, point) - boundary_height(fam, point) == gain
+        assert point_height(lifted, t) == pytest.approx(
+            point_height(fam, t) + float(gain), abs=1e-9
+        )
+
     def test_zero_twist_is_identity(self):
         fam = alpha_family(F(1, 4))
         out = twist(fam, {INF: 0})

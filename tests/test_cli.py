@@ -10,6 +10,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adelic_heights import cli, scalars
 from adelic_heights.adelic_curve import AdelicFamily, Place, ToricCompactifiedDivisor
@@ -91,6 +93,47 @@ class TestCodecs:
 
     def test_twelve_significant_digits(self):
         assert cli.encode_number(math.pi) == 3.14159265359
+
+    # a triple (d, e, negative) stands for the rational +-10**(d-1)/33...3
+    # of d and e digits (e = 0: an integer), built in the test: drawn
+    # values are printed, and one past the digit limit has no repr
+    @given(
+        st.floats(allow_nan=False)
+        | st.fractions()
+        | st.tuples(st.sampled_from([1, 4300, 4301]), st.sampled_from([0, 1, 4300, 4301]), st.booleans())
+    )
+    # signed zeros, infinities, subnormals, the smallest normal, and floats
+    # that sit on a 12-digit rounding boundary
+    @example(0.0)
+    @example(-0.0)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(5e-324)
+    @example(2.225073858507201e-308)
+    @example(2.2250738585072014e-308)
+    @example(100000000000.5)
+    @example(999999999999.5)
+    @example(1.0000000000005)
+    @example(-9.999999999995)
+    @example((1, 4301, False))
+    @settings(max_examples=200, deadline=None)
+    def test_one_number_rule_for_json_and_csv(self, v):
+        # a CSV cell is encode_number's value laid out, or the same refusal
+        if isinstance(v, tuple):
+            d, e, negative = v
+            v = F((-1) ** negative * 10 ** (d - 1), (10**e - 1) // 3 or 1)
+
+        def outcome(fn):
+            try:
+                return fn(v)
+            except (ValueError, ArithmeticError) as exc:
+                return type(exc), str(exc)
+
+        def encoded_text(x):
+            e = cli.encode_number(x)
+            return f"{e:.12g}" if isinstance(e, float) else str(e)
+
+        assert outcome(cli._format_cell) == outcome(encoded_text)
 
     def test_concave_fn_round_trip(self):
         fns = [
@@ -392,6 +435,11 @@ class TestHeightCommand:
 
 
 class TestEnergyCommand:
+    def test_equal_families_have_no_energy(self, capsys):
+        pair = {"reference": ALPHA_FAMILY, "singular": ALPHA_FAMILY}
+        payload = run_json(capsys, "energy", "--input", json.dumps(pair))
+        assert payload == {"energy": 0, "per_place": []}
+
     def test_per_place_breakdown(self, capsys):
         shifted = {
             "slope_neg": 1,
@@ -512,6 +560,11 @@ class TestDualAndMa:
         assert payload["samples"][0][1] == pytest.approx(-4.0)
         assert payload["samples"][-1][1] == "-inf"
 
+    def test_dual_grid_outside_the_domain(self, capsys):
+        # the ramp's dual lives on [0, 1]
+        code, out, err = run(capsys, "dual", "--input", json.dumps(RAMP), "--grid", "5:6:3")
+        assert (code, out, err) == (3, "", "error: 5.0 outside the dual domain\n")
+
     def test_dual_degenerate_domain(self, capsys):
         line = {
             "slope_neg": 1,
@@ -624,6 +677,13 @@ class TestPlot:
         lines = out.splitlines()
         assert lines[1:4] == ["psi:canonical,0,0", "psi:canonical,0.5,-0.5", "psi:canonical,1,-1"]
         assert lines[4:] == ["roof,-1,0"]
+
+    def test_positive_infinity_is_divergence(self, capsys):
+        # the canonical profile of -2[0] + 3[inf] reaches +inf on the grid:
+        # a CSV cell follows the JSON rule, exit 4 and no output
+        fam = {"divisor": {"a": -2, "b": 3}}
+        code, out, err = run(capsys, "plot", "--input", json.dumps(fam), "--grid=0:1e308:2")
+        assert (code, out, err) == (4, "", "error: positive infinity in output\n")
 
     def test_plot_to_file(self, capsys, tmp_path):
         target = tmp_path / "plot.csv"
@@ -757,11 +817,23 @@ class TestInputRobustness:
         assert scalars._num("1E+4300") == 10**4300
         # its 4301-digit denominator is then refused when printed
         got, out, err = run(capsys, "product-formula", "1e-4300")
-        assert (got, out) == (3, "")
-        assert err.startswith("error: Exceeds the limit (4300 digits)")
+        assert (got, out, err) == (3, "", "error: exact value beyond 4300 digits\n")
         # 0 lifts the digit limit, and with it the bound on the exponent
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         assert scalars._num("1e-5000") == F(1, 10**5000)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("product-formula", "1e-4300"),
+            ("product-formula", "1e4300"),
+            ("height", "--input", '{"divisor": {"a": "1e-4300", "b": "1"}}'),
+        ],
+    )
+    def test_an_exact_result_beyond_the_digit_limit_is_refused(self, capsys, argv, fmt):
+        got, out, err = run(capsys, argv[0], "--format", fmt, *argv[1:])
+        assert (got, out, err) == (3, "", "error: exact value beyond 4300 digits\n")
 
 
 def _without(obj, *path):

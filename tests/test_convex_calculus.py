@@ -177,6 +177,12 @@ class TestMinConcave:
         f = three_slope()
         assert min_concave(f, f) == f
 
+    def test_parallel_lines_keep_the_lower(self):
+        # no crossing: the difference is a nonzero constant
+        low, high = ConcaveFn.affine(1, 0), ConcaveFn.affine(1, 2)
+        assert min_concave(low, high) == low
+        assert min_concave(high, low) == low
+
     def test_affine_crossing_exact(self):
         # u + 4 and -u cross at u = -2
         m = min_concave(ConcaveFn.affine(1, 4), ConcaveFn.affine(-1, 0))
@@ -692,6 +698,37 @@ class TestBidual:
     @settings(max_examples=60, deadline=None)
     def test_near_colliding_slopes_roundtrip_exact(self, f):
         assert legendre_bidual(legendre_dual(f)) == f
+
+    # the affine profile slope*u + intercept has the one-point dual domain
+    # {slope}; its conjugate is the profile again, bit for bit, signed zeros
+    # included: (slope, intercept, u, conjugate value)
+    POINT_DOMAIN_CONJUGATES = [
+        (F(1, 3), F(2, 5), 0.0, 0.4),
+        (F(1, 3), F(2, 5), -0.0, 0.4),
+        (F(1, 3), F(2, 5), 1e300, 3.3333333333333335e299),
+        (F(1, 3), F(2, 5), -1e300, -3.3333333333333335e299),
+        (F(1, 3), 0.7, 0.0, 0.7),
+        (F(1, 3), 0.7, -0.0, 0.7),
+        (F(1, 3), 0.7, 1e300, 3.3333333333333335e299),
+        (F(1, 3), 0.7, -1e300, -3.3333333333333335e299),
+        (F(-1, 2), F(0), 0.0, -0.0),
+        (F(-1, 2), F(0), -0.0, 0.0),
+        (F(-1, 2), F(0), 1e300, -5e299),
+        (F(-1, 2), F(0), -1e300, 5e299),
+    ]
+
+    @pytest.mark.parametrize("slope, intercept, u, value", POINT_DOMAIN_CONJUGATES)
+    def test_conjugate_on_a_point_domain(self, slope, intercept, u, value):
+        d = legendre_dual(ConcaveFn.affine(slope, intercept))
+        assert d.is_degenerate()
+        assert conjugate_eval(d, u).hex() == value.hex()
+
+    def test_bidual_on_a_point_domain(self):
+        f = ConcaveFn.affine(F(1, 3), F(2, 5))
+        assert legendre_bidual(legendre_dual(f)) == f
+        # a float intercept has no exact biconjugate
+        with pytest.raises(ValueError, match="^exact evaluation needs a rational affine dual piece$"):
+            legendre_bidual(legendre_dual(ConcaveFn.affine(F(1, 3), 0.7)))
 
     def test_conjugate_on_domain_of_one_float(self):
         # slopes 1/3 + 1e-20 and 1/3: the dual domain is a single float

@@ -651,6 +651,17 @@ class TestIntersection:
         with pytest.raises(ValueError, match=message):
             IntersectionMap(standard_space(), arity, table)
 
+    def test_a_zero_effective_generator_gets_no_witness(self):
+        h = hyperbolic_map(standard_space())
+        report = check_intersection_axioms(h, [V([1, 0]), V([0, 1])], [V([0, 0]), V([1, 0])])
+        assert report == {
+            "nef_nonnegative": True,
+            "effective_nonnegative": True,
+            "amplitude_witnesses": {1: 1},
+            "failures": [],
+            "passed": True,
+        }
+
     def test_axiom_report_catches_negativity(self):
         sp = standard_space()
         bad = IntersectionMap(sp, 2, {(0, 0): -1})
@@ -811,6 +822,10 @@ def metric_cases(draw):
 
 
 class TestIntegerForms:
+    def test_negation_is_exact(self):
+        x = -V([1, F(-2, 3), 0])
+        assert x == V([-1, F(2, 3), 0]) and all(type(c) is F for c in x)
+
     @given(metric_cases())
     @example((METRIC_SPACES["standard2"], V([1, 1]), V([0, 0]), V([F(1, 3), F(-1, 3)])))
     @example((METRIC_SPACES["two_cell3"], V([1, 2, 3]), V([0, 0, 0]), V([0, -2, 3])))
