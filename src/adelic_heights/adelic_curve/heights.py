@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
+from fractions import Fraction
 
 from ..scalars import _scaled, _to_fraction
 from .family import (
@@ -140,7 +141,7 @@ def global_energy(ref: AdelicFamily, sing: AdelicFamily) -> Real:
     the precondition checked, so place order is irrelevant."""
     from ..convex_calculus.energy import _require_comparable, local_energy
 
-    total = 0
+    total = Fraction(0)
     for place, psi, phi in _unequal_places(ref, sing):
         if total == -math.inf:
             _at_place(place, _require_comparable, psi, phi)

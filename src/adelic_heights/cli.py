@@ -458,7 +458,7 @@ def _layout(v) -> str:
 
 
 def _format_cell(v) -> str:
-    return _layout(encode_number(v))
+    return _layout(v if isinstance(v, float) and v != math.inf else encode_number(v))
 
 
 def cmd_plot(args) -> list[list[str]]:

@@ -31,7 +31,7 @@ from ..scalars import (
     _read,
     _to_fraction,
 )
-from .functions import AffinePiece, AlphaPiece, ConcaveFn, Number, _bisect_root
+from .functions import _ONE, AffinePiece, AlphaPiece, ConcaveFn, Number, _bisect_root
 
 
 class PowerTerm(Frozen):
@@ -204,7 +204,7 @@ class DualFn(Frozen):
 
 def _integrate_power_term(t: PowerTerm, a: float, b: float) -> float:
     """Integral of coeff*(center-m)**exponent over [a, b], center >= b."""
-    c, e, ctr = t.coeff, t.exponent, float(t.center)
+    c, e, ctr = t.coeff, t.exponent, _float_of(t.center)
     if c == 0.0:
         return 0.0
     da, db = ctr - a, ctr - b
@@ -310,12 +310,13 @@ def legendre_dual(f: ConcaveFn) -> DualFn:
                 cur = d_hi
         if isinstance(piece, AlphaPiece):
             left = f.breakpoints[i - 1] if i >= 1 else None
-            s, c = piece.slope, piece.intercept
+            s = piece.slope
             d_left: Number = s if left is None else piece.derivative(left)
             if _above(d_left, cur):
                 alpha, _, _, _, b = piece._floats  # float(alpha), float(1 - alpha)
                 term = PowerTerm(-b / alpha, -alpha / b, s)
-                entries.append((d_left, DualPiece(1, -(s + c), (term,))))
+                top = _read(_negated(_affine_ratio(piece, _ONE)))  # -(s + c), as a term
+                entries.append((d_left, DualPiece(_ONE, top, (term,))))
                 cur = d_left
         else:
             # derivative is constant here; realign exactly on the slope

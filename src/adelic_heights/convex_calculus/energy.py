@@ -6,24 +6,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .functions import ConcaveFn, bounded_above
-from .measures import integrate_against, monge_ampere
+from .functions import ConcaveFn, _bounded_head, _Expr
+from .measures import _integrate_against, integrate_against, monge_ampere
 
 
-def _require_comparable(psi: ConcaveFn, phi: ConcaveFn) -> None:
-    if not bounded_above(psi, phi):
-        raise ValueError(
-            "psi - phi must be bounded above (phi at least as singular as psi)"
-        )
+def _require_comparable(psi: ConcaveFn, phi: ConcaveFn) -> _Expr:
+    """The first pieces' difference, once psi - phi is bounded above (as bounded_above)."""
+    head = _bounded_head(psi, phi)
+    if head is None:
+        raise ValueError("psi - phi must be bounded above (phi at least as singular as psi)")
+    return head
 
 
 def local_energy(psi: ConcaveFn, phi: ConcaveFn) -> Fraction | float:
     """Energy of phi relative to psi: the integral of psi - phi against
     the sum of both curvature measures. Finite or -inf; a Fraction on
-    piecewise-affine rational profiles."""
-    _require_comparable(psi, phi)
-    a = integrate_against((psi, phi), monge_ampere(phi))
-    b = integrate_against((psi, phi), monge_ampere(psi))
+    piecewise-affine rational profiles. The first pieces' difference is built once."""
+    head = _require_comparable(psi, phi)
+    a = _integrate_against((psi, phi), monge_ampere(phi), "exact", head)
+    b = _integrate_against((psi, phi), monge_ampere(psi), "exact", head)
     return a + b
 
 

@@ -22,7 +22,9 @@ from ..scalars import (
     Frozen,
     _above,
     _affine_ratio,
+    _difference,
     _float_of,
+    _in_unit_interval,
     _increasing,
     _num,
     _read,
@@ -30,6 +32,7 @@ from ..scalars import (
 )
 
 Number = int | Fraction | float
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 class AffinePiece(Frozen):
     """slope*u + intercept."""
@@ -68,16 +71,15 @@ class AlphaPiece(Frozen):
     no float; the piece, its curvature measure and its dual read them."""
 
     __slots__ = ("alpha", "slope", "intercept", "_floats")
-    _one_minus_u = AffinePiece(-1, 1)  # exactly 1 - alpha at alpha, with no Fraction built
 
     def __init__(self, alpha: Number, slope: Number, intercept: Number):
         alpha, slope, intercept = _num(alpha), _num(slope), _num(intercept)
-        if not 0 < alpha < 1:
+        if not _in_unit_interval(alpha):
             raise ValueError("alpha must lie strictly between 0 and 1")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "intercept", intercept)
-        a, b = _float_of(alpha), _float_of(_affine_ratio(self._one_minus_u, alpha))
+        a, b = _float_of(alpha), _float_of(_difference(_ONE, alpha))
         if not a or 1.0 / a == math.inf:
             raise OverflowError("alpha below float range: 1/alpha exceeds the largest float")
         s, c = _float_of(slope), _float_of(intercept)
@@ -85,14 +87,14 @@ class AlphaPiece(Frozen):
 
     def value(self, u) -> float:
         a, s, c, _, _ = self._floats
-        u = float(u)
+        u = _float_of(u)
         return s * u + c + (1.0 - u) ** a / a
 
     _value_term = value  # a float is its own term
 
     def derivative(self, u) -> float:
         a, s, _, _, _ = self._floats
-        return s - (1.0 - float(u)) ** (a - 1.0)
+        return s - (1.0 - _float_of(u)) ** (a - 1.0)
 
     def shifted(self, c) -> "AlphaPiece":
         return AlphaPiece(self.alpha, self.slope, self.intercept + _num(c))
@@ -130,15 +132,16 @@ class _Expr:
         # sides cancels exactly
         if tp != tq:
             terms = ((tp,) if tp else ()) + (((-tq[0], tq[1]),) if tq else ())
-        return _Expr(p.slope - q.slope, p.intercept - q.intercept, terms)
+        slope, intercept = _difference(p.slope, q.slope), _difference(p.intercept, q.intercept)
+        return _Expr(_read(slope), _read(intercept), terms)
 
     def value(self, u):
         """Exact at a rational u when there are no power terms; float otherwise."""
         if not self.terms:
             return self.slope * u + self.intercept
-        v = float(self.slope) * float(u) + float(self.intercept)
+        v = _float_of(self.slope) * _float_of(u) + _float_of(self.intercept)
         for c, e in self.terms:
-            v += c * (1.0 - float(u)) ** e
+            v += c * (1.0 - _float_of(u)) ** e
         return v
 
     def derivative_expr(self) -> "_Expr":
@@ -315,7 +318,7 @@ class ConcaveFn(Frozen):
         ratios; with a singular or float side, in floats with slack."""
         for i, piece in enumerate(self.pieces):
             hi = self.breakpoints[i] if i < len(self.breakpoints) else None
-            if isinstance(piece, AlphaPiece) and (hi is None or hi > 0):
+            if isinstance(piece, AlphaPiece) and (hi is None or _above(hi, _ZERO)):
                 raise ValueError("singular pieces require an interval with right endpoint <= 0")
         for i, t in enumerate(self.breakpoints):
             left, right = self.pieces[i], self.pieces[i + 1]
@@ -392,7 +395,7 @@ def _pair_walk(
     a = lo
     while True:
         fp, gp = f.pieces[i], g.pieces[j]
-        if i < nf and (j == ng or fb[i] <= gb[j]):
+        if i < nf and (j == ng or not _above(fb[i], gb[j])):
             b = fb[i]
             i += 1
             if j < ng and gb[j] == b:
@@ -402,7 +405,7 @@ def _pair_walk(
             j += 1
         else:
             b = None
-        if b is None or (hi is not None and b >= hi):
+        if b is None or (hi is not None and not _above(hi, b)):
             yield a, hi, fp, gp
             return
         yield a, b, fp, gp
@@ -455,10 +458,13 @@ def bounded_above(f: ConcaveFn, g: ConcaveFn) -> bool:
     """Whether f - g is bounded above on the whole line: toward +infinity
     by the slopes, toward -infinity by the tail of the first pieces'
     difference."""
-    return (
-        f.slope_pos <= g.slope_pos
-        and _Expr.difference(f.pieces[0], g.pieces[0]).tail() < math.inf
-    )
+    return _bounded_head(f, g) is not None
+
+
+def _bounded_head(f: ConcaveFn, g: ConcaveFn) -> _Expr | None:
+    """The first pieces' difference when f - g is bounded above, else None."""
+    head = _Expr.difference(f.pieces[0], g.pieces[0])
+    return head if f.slope_pos <= g.slope_pos and head.tail() < math.inf else None
 
 
 def sup_distance(f: ConcaveFn, g: ConcaveFn) -> float:

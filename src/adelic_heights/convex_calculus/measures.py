@@ -13,14 +13,9 @@ import math
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from ..scalars import Frozen, PositiveDivergenceError, _to_fraction
-from .functions import (
-    AlphaPiece,
-    ConcaveFn,
-    Number,
-    _Expr,
-    _pair_walk,
-)
+from ..scalars import Frozen, PositiveDivergenceError, _above, _difference, _float_of
+from ..scalars import _ratio_sum, _read, _times, _to_fraction
+from .functions import _ZERO, AlphaPiece, ConcaveFn, Number, _Expr, _pair_walk
 
 QUAD_TOL = 1e-9  # agreement of successive double-exponential sums
 _WEAK_TOL = 1e-3  # largest last gap a weak-convergence verdict passes
@@ -40,7 +35,7 @@ class DensityPiece(Frozen):
         hi = _to_fraction(hi)
         if lo is not None and lo >= hi:
             raise ValueError("empty density interval")
-        if exponent != 0 and hi > 0:
+        if exponent != 0 and _above(hi, _ZERO):
             raise ValueError("singular density requires right endpoint <= 0")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -52,7 +47,7 @@ class DensityPiece(Frozen):
 
     def mass(self) -> float:
         return _integrate_terms_in_t(
-            [(self.coeff, float(self.exponent))], self.lo, self.hi
+            [(self.coeff, _float_of(self.exponent))], self.lo, self.hi
         )
 
 
@@ -67,7 +62,7 @@ def _integrate_terms_in_t(
     raises PositiveDivergenceError. A coefficient is zero only when it is
     exactly 0.0.
     """
-    t0 = 1.0 - float(hi)
+    t0 = 1.0 - _float_of(hi)
     if lo is None:
         convergent = 0.0
         divergent: dict[float, float] = {}
@@ -82,7 +77,7 @@ def _integrate_terms_in_t(
             if divergent[e] < 0:
                 return -math.inf
         return convergent
-    t1 = 1.0 - float(lo)
+    t1 = 1.0 - _float_of(lo)
     total = 0.0
     for c, e in terms:
         if e == -1.0:
@@ -96,10 +91,9 @@ def _expr_times_density_terms(
     expr: _Expr, piece: DensityPiece
 ) -> list[tuple[float, float]]:
     """(slope*u + intercept + sum c*(1-u)**a) * k*(1-u)**q as t-power terms."""
-    k, q = piece.coeff, float(piece.exponent)
-    a_const = float(expr.slope) + float(expr.intercept)  # u = 1 - t
-    b_lin = -float(expr.slope)
-    out = [(k * a_const, q), (k * b_lin, q + 1.0)]
+    k, q = piece.coeff, _float_of(piece.exponent)
+    slope, intercept = _float_of(expr.slope), _float_of(expr.intercept)
+    out = [(k * (slope + intercept), q), (k * -slope, q + 1.0)]  # u = 1 - t
     for c, e in expr.terms:
         out.append((k * c, q + e))
     return out
@@ -155,9 +149,9 @@ def monge_ampere(f: ConcaveFn) -> Measure1D:
         pass
     atoms: list[tuple[Fraction, Number]] = []
     for i, t in enumerate(f.breakpoints):
-        gap = f.pieces[i].derivative(t) - f.pieces[i + 1].derivative(t)
-        if gap > 0:
-            atoms.append((t, gap))
+        left, right = f.pieces[i].derivative(t), f.pieces[i + 1].derivative(t)
+        if _above(left, right):
+            atoms.append((t, _read(_difference(left, right))))
     densities: list[DensityPiece] = []
     for lo, hi, piece in f.intervals():
         if isinstance(piece, AlphaPiece):
@@ -176,32 +170,35 @@ def integrate_against(
     """Integral of f - g against mu.
 
     Atoms are summed directly: the sum is a Fraction while every mass and
-    both pieces at every atom are rational, and there are no densities.
-    With method "exact", density pieces
+    both pieces at every atom are rational, and there are no densities
+    (Fraction(0) for no atoms either). With method "exact", density pieces
     integrate in closed form through the power catalog; with method
     "quad", by double-exponential quadrature to QUAD_TOL (see _quad_piece,
     whose divergence verdict is approximate). A negatively divergent
     integral returns -inf; a positively divergent one raises
     PositiveDivergenceError.
     """
+    return _integrate_against(pair, mu, method, None)
+
+
+def _integrate_against(pair, mu: Measure1D, method: str, head: _Expr | None):
+    """integrate_against, reading head, if given, as the pair's first pieces' difference."""
     if method not in ("exact", "quad"):
         raise ValueError(f"unknown method {method!r}")
     f, g = pair
-    total = 0
-    for loc, m in mu.atoms:
-        # exact wherever the mass and both pieces are
-        total += m * (f.piece_at(loc).value(loc) - g.piece_at(loc).value(loc))
+    terms = []
+    for loc, m in mu.atoms:  # exact wherever the mass and both pieces are
+        diff = _difference(f.piece_at(loc)._value_term(loc), g.piece_at(loc)._value_term(loc))
+        terms.append(_times(m, diff))
     for piece in mu.densities:
         for lo, hi, fp, gp in _pair_walk(f, g, lo=piece.lo, hi=piece.hi):
-            expr = _Expr.difference(fp, gp)
+            expr = head if lo is None and head is not None else _Expr.difference(fp, gp)
             if method == "quad":
                 sub = DensityPiece(lo, hi, piece.coeff, piece.exponent)
-                total += _quad_piece(expr.value, sub)
+                terms.append(_quad_piece(expr.value, sub))
             else:
-                total += _integrate_terms_in_t(
-                    _expr_times_density_terms(expr, piece), lo, hi
-                )
-    return total
+                terms.append(_integrate_terms_in_t(_expr_times_density_terms(expr, piece), lo, hi))
+    return _read(_ratio_sum(terms))
 
 
 _HALF_PI = math.pi / 2
@@ -245,7 +242,7 @@ def _quad_piece(fn: Callable[[float], float], piece: DensityPiece) -> float:
     divergent even when its integral converges. The rule assumes fn does
     not oscillate: cos(u) against a half-line density is off by ~3e-4.
     """
-    hi = float(piece.hi)
+    hi = _float_of(piece.hi)
     if piece.lo is None:
         k, e, t0 = piece.coeff, piece.exponent, 1.0 - hi
 
@@ -264,7 +261,7 @@ def _quad_piece(fn: Callable[[float], float], piece: DensityPiece) -> float:
             return -math.inf
         return _de_trapezoid(term, a, b)
 
-    half = math.log1p(float(piece.hi - piece.lo)) / 2
+    half = math.log1p(_float_of(_difference(piece.hi, piece.lo))) / 2
 
     def term(x: float) -> float:
         v = _HALF_PI * math.sinh(x)
@@ -282,7 +279,7 @@ def integrate_measure(fn: Callable[[float], float], mu: Measure1D) -> float:
     finite, -inf, or PositiveDivergenceError like integrate_against."""
     total = 0.0
     for loc, m in mu.atoms:
-        total += float(m) * fn(float(loc))
+        total += _float_of(m) * fn(_float_of(loc))
     for piece in mu.densities:
         total += _quad_piece(fn, piece)
     return total

@@ -105,6 +105,12 @@ def _above(x, y) -> bool:
     return _float_of(x) > _float_of(y)
 
 
+def _in_unit_interval(x) -> bool:
+    """0 < x < 1, decided exactly on x's integer ratio (a float's too)."""
+    n, d = x.as_integer_ratio()
+    return 0 < n < d
+
+
 def _increasing(xs: Iterable) -> bool:
     """xs strictly increase, decided on their integer ratios: a float's is
     exact too, so the order is exact on Fractions and floats alike."""
@@ -124,6 +130,23 @@ def _negated(term: Term) -> Term:
 def _read(term: Term) -> Fraction | float:
     """A term as a number: one Fraction for an integer ratio."""
     return Fraction(*term) if type(term) is tuple else term
+
+
+def _difference(x: Term | Fraction, y: Term | Fraction) -> Term:
+    """x - y: an unreduced ratio unless either is a float, else the float the operators give."""
+    if isinstance(x, float) or isinstance(y, float):
+        return _float_of(x) - _float_of(y)
+    xn, xd = x if type(x) is tuple else x.as_integer_ratio()
+    yn, yd = y if type(y) is tuple else y.as_integer_ratio()
+    return xn * yd - yn * xd, xd * yd
+
+
+def _times(m: int | Fraction | float, term: Term) -> Term:
+    """m * term: an unreduced ratio when both are exact, else the float the operators give."""
+    if isinstance(m, float) or type(term) is not tuple:
+        return _float_of(m) * _float_of(term)
+    mn, md = m.as_integer_ratio()
+    return mn * term[0], md * term[1]
 
 
 def _float_of(x: Term | Fraction) -> float:

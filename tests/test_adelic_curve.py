@@ -33,7 +33,7 @@ from adelic_heights.adelic_curve import family as family_module
 from adelic_heights.adelic_curve import heights as heights_module
 from adelic_heights.adelic_curve import places
 from adelic_heights.cli import alpha_profile
-from adelic_heights.convex_calculus import cutoff
+from adelic_heights.convex_calculus import Measure1D, cutoff, integrate_against, local_energy
 from adelic_heights.convex_calculus import functions as functions_module
 from adelic_heights.convex_calculus.duality import DualFn, DualPiece, legendre_dual
 from adelic_heights.convex_calculus.functions import (
@@ -1089,6 +1089,18 @@ class TestEnergy:
     def test_self_energy_zero(self):
         fam = alpha_family(F(1, 4))
         assert global_energy(fam, fam) == 0.0
+
+    def test_exact_empty_sums_are_fractions(self):
+        # a sum with no term is an exact zero, as on any rational data
+        d0 = canonical_fn(ToricCompactifiedDivisor(1, -1))  # degree 0: one line
+        assert len(d0.pieces) == 1
+        ramp = canonical_fn(hyperplane_divisor())
+        for total in (
+            integrate_against((ramp, ramp.shift(1)), Measure1D()),
+            local_energy(d0, d0),
+            global_energy(alpha_family(F(1, 4)), alpha_family(F(1, 4))),
+        ):
+            assert type(total) is F and total == 0
 
     def test_divisor_mismatch(self):
         with pytest.raises(ValueError, match="divisor"):

@@ -955,6 +955,33 @@ class TestQuadrature:
                 assert abs(integrate_measure(fn, mu) - ref) < 1e-8
 
 
+@st.composite
+def energy_profiles(draw) -> ConcaveFn:
+    """Affine profiles with outer slopes drawn from a few (the slopes of
+    the divisor 0[0] + 1[inf] among them), alpha profiles with an alpha
+    head or an affine one, each shifted by a drawn constant."""
+    kind = draw(st.sampled_from(["affine", "alpha", "affine head"]))
+    if kind == "alpha":
+        f = draw(alpha_profiles())
+    elif kind == "affine head":
+        f = draw(affine_head_alpha_profiles())
+    else:
+        top = draw(st.sampled_from([F(1), F(2), F(1, 2)]))
+        bottom = draw(st.sampled_from([F(0), F(-1), F(1, 3)]))
+        inner = draw(st.lists(st.fractions(bottom, top, max_denominator=6), max_size=2))
+        slopes = [top, *sorted({s for s in inner if bottom < s < top}, reverse=True), bottom]
+        bps = draw(
+            st.lists(
+                st.fractions(-4, 4, max_denominator=4),
+                min_size=len(slopes) - 1,
+                max_size=len(slopes) - 1,
+                unique=True,
+            )
+        )
+        f = profile_through(slopes, sorted(bps), draw(st.fractions(-2, 2, max_denominator=3)))
+    return f.shift(draw(st.sampled_from([F(0), F(1, 2), F(-3)])))
+
+
 def closed_form_energy(alpha: float) -> float:
     if alpha >= 0.5:
         return -math.inf
@@ -986,6 +1013,26 @@ class TestLocalEnergy:
             integrate_against((psi, phi), monge_ampere(psi), method="quad")
         )
         assert abs(e - quad) < 1e-9
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_exactly_what_bounded_above_refuses(self, data):
+        # the precondition is read off the first pieces' difference that
+        # the integrals reuse; it must stay the rule of bounded_above
+        psi, phi = data.draw(energy_profiles()), data.draw(energy_profiles())
+        try:
+            local_energy(psi, phi)
+        except ValueError as exc:
+            refused = exc
+        else:
+            refused = None
+        if bounded_above(psi, phi):
+            assert refused is None
+        else:
+            assert type(refused) is ValueError
+            assert str(refused) == (
+                "psi - phi must be bounded above (phi at least as singular as psi)"
+            )
 
     def test_self_energy_zero(self):
         assert local_energy(ramp(), ramp()) == 0

@@ -49,12 +49,15 @@ from adelic_heights.scalars import (
     _above,
     _add_twice_integral,
     _affine_ratio,
+    _difference,
     _float_of,
+    _in_unit_interval,
     _increasing,
     _integer_form,
     _negated,
     _ratio_sum,
     _read,
+    _times,
 )
 
 DIVISOR = ToricCompactifiedDivisor(0, 1)
@@ -151,6 +154,28 @@ def test_one_kernel_holds_the_ratio_format():
             assert not [a.name for a in node.names if a.name.startswith("_")]
 
 
+def _imported_modules(path: Path) -> set[str]:
+    """The last name of every module a file imports, and every name it
+    imports from a package (so that `from . import energy` counts)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    return {name.rsplit(".", 1)[-1] for name in names}
+
+
+def test_the_two_height_routes_share_no_module():
+    # the roof route (duality) and the energy route (measures, energy)
+    # reach the profiles and the kernel, never each other
+    layer = Path(scalars.__file__).parent / "convex_calculus"
+    assert not _imported_modules(layer / "duality.py") & {"measures", "energy"}
+    for name in ("measures.py", "energy.py"):
+        assert "duality" not in _imported_modules(layer / name), name
+
+
 # Mixed kernel inputs: Fractions and floats, negatives and zeros among them
 # (-0.0 too), and floats that equal a Fraction drawn beside them.
 FRACTIONS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -183,6 +208,8 @@ def test_integer_form_is_one_common_denominator(xs):
 
 def _same(got, expected) -> bool:
     """Equal and of one type; floats bit for bit, the sign of zero too."""
+    if type(got) is float:
+        return type(expected) is float and got.hex() == expected.hex()
     return type(got) is type(expected) and repr(got) == repr(expected)
 
 
@@ -228,6 +255,44 @@ def test_affine_terms_agree_with_the_operators(s, c, a, b):
 @given(st.lists(TERMS, max_size=8))
 def test_ratio_sums_agree_with_the_fraction_sum(terms):
     assert _same(_read(_ratio_sum(terms)), sum(map(_read, terms), F(0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(NUMBERS, TERMS), st.one_of(NUMBERS, TERMS))
+def test_differences_agree_with_the_operators(x, y):
+    # a ratio exactly when neither side is a float
+    got = _difference(x, y)
+    assert (type(got) is tuple) == (type(x) is not float and type(y) is not float)
+    assert _same(_read(got), _read(x) - _read(y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(NUMBERS, st.integers(-10**6, 10**6)), TERMS)
+def test_mass_times_term_agrees_with_the_operators(m, term):
+    got = _times(m, term)
+    assert (type(got) is tuple) == (type(m) is not float and type(term) is tuple)
+    assert _same(_read(got), m * _read(term))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        NUMBERS,
+        st.sampled_from(
+            [0, 1, F(1), F(0), 1.0, math.nextafter(1.0, 0.0), 5e-324, -5e-324, F(1, 10**30)]
+        ),
+    )
+)
+def test_the_unit_interval_test_agrees_with_the_operators(x):
+    assert _in_unit_interval(x) == (0 < x < 1)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, F(-1, 2), F(3, 2), 0.0, 1.0])
+def test_alpha_range_refusals_keep_class_and_message(alpha):
+    with pytest.raises(ValueError) as info:
+        AlphaPiece(alpha, 1, 0)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "alpha must lie strictly between 0 and 1"
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
